@@ -32,7 +32,7 @@ from .solver import (
     solve,
     summarize,
 )
-from .state import Flip, Move, MoveDelta, SearchState, Swap
+from .state import Flip, Move, SearchState, Swap
 from .stats import wilcoxon_signed_rank
 from .tabu import (
     TabuList,

@@ -38,6 +38,10 @@ HEADER = "BMCP 1"
 # rejected rather than silently thrashing memory.
 MAX_CELLS = 1 << 27
 
+# Weight and profit totals stay below this, so every sum the search forms
+# is exact in int64: a swap delta can reach twice the profit total.
+MAX_TOTAL = 1 << 62
+
 
 class InstanceWarning(UserWarning):
     """Degenerate but legal instance data (empty rows, uncovered elements)."""
@@ -47,8 +51,10 @@ class InstanceWarning(UserWarning):
 class Instance:
     """Immutable problem data.
 
-    :param weights: per-item weights, shape (m,), positive int64.
-    :param profits: per-element profits, shape (n,), positive int64.
+    :param weights: per-item weights, shape (m,), positive int64 with a
+        total below :data:`MAX_TOTAL`.
+    :param profits: per-element profits, shape (n,), positive int64 with a
+        total below :data:`MAX_TOTAL`.
     :param capacity: knapsack capacity C >= 0.
     :param rows: per-item covered elements, each a sorted unique int64 array
         of 0-based element indices.
@@ -63,8 +69,11 @@ class Instance:
     name: str = ""
 
     def __post_init__(self):
-        weights = np.asarray(self.weights, dtype=np.int64)
-        profits = np.asarray(self.profits, dtype=np.int64)
+        try:
+            weights = np.asarray(self.weights, dtype=np.int64)
+            profits = np.asarray(self.profits, dtype=np.int64)
+        except OverflowError:
+            raise ValueError("weight or profit does not fit in int64") from None
         if weights.ndim != 1 or weights.size == 0:
             raise ValueError("weights must be a nonempty 1-d array")
         if profits.ndim != 1 or profits.size == 0:
@@ -73,6 +82,9 @@ class Instance:
             raise ValueError("nonpositive weight")
         if (profits <= 0).any():
             raise ValueError("nonpositive profit")
+        for label, values in (("weight", weights), ("profit", profits)):
+            if sum(values.tolist()) >= MAX_TOTAL:
+                raise ValueError(_total_message(label))
         if int(self.capacity) < 0:
             raise ValueError("negative capacity")
         if len(self.rows) != weights.size:
@@ -121,6 +133,11 @@ class Instance:
         data = np.ones(indices.size, dtype=np.int64)
         return sp.csr_array((data, indices, indptr), shape=(self.m, self.n))
 
+    @cached_property
+    def incidence_items(self) -> np.ndarray:
+        """Item of every entry of ``incidence.indices``, in CSR order."""
+        return np.repeat(np.arange(self.m), [r.size for r in self.rows])
+
     def __eq__(self, other) -> bool:
         """Data equality; the name label is ignored."""
         if not isinstance(other, Instance):
@@ -134,6 +151,10 @@ class Instance:
         )
 
     __hash__ = None
+
+
+def _total_message(label: str) -> str:
+    return f"{label} total must stay below 2^62 = {MAX_TOTAL}"
 
 
 def as_selection(m: int, selection) -> np.ndarray:
@@ -227,6 +248,8 @@ def parse_instance(text: str, name: str = "") -> Instance:
     weights = _ints(wtok, lineno)
     if any(w <= 0 for w in weights):
         raise FormatError("nonpositive weight", lineno)
+    if sum(weights) >= MAX_TOTAL:
+        raise FormatError(_total_message("weight"), lineno)
 
     raw, lineno = line_at(3, "profits")
     ptok = _tokens_of(raw)
@@ -235,6 +258,8 @@ def parse_instance(text: str, name: str = "") -> Instance:
     profits = _ints(ptok, lineno)
     if any(p <= 0 for p in profits):
         raise FormatError("nonpositive profit", lineno)
+    if sum(profits) >= MAX_TOTAL:
+        raise FormatError(_total_message("profit"), lineno)
 
     rows = []
     for i in range(m):
@@ -338,9 +363,17 @@ class GeneratorSpec:
             raise ConfigError(f"index space m*n exceeds {MAX_CELLS}")
         if self.capacity < 1:
             raise ConfigError("capacity must be positive")
-        for lo, hi in (self.weight_range, self.profit_range):
+        for label, (lo, hi), draws in (
+            ("weight", self.weight_range, self.m),
+            ("profit", self.profit_range, self.n),
+        ):
             if lo < 1 or hi < lo:
                 raise ConfigError(f"bad range [{lo}, {hi}]")
+            if hi * draws >= MAX_TOTAL:
+                raise ConfigError(
+                    f"{label} range [{lo}, {hi}] over {draws} draws: "
+                    + _total_message(label)
+                )
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit in 64 bits")
 

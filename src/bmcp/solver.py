@@ -186,7 +186,7 @@ def summarize(results: Sequence[RunResult]) -> BatchSummary:
     objectives = np.array([r.best_objective for r in results], dtype=np.float64)
     times = np.array([r.time_to_best for r in results], dtype=np.float64)
     return BatchSummary(
-        f_best=int(objectives.max()),
+        f_best=max(r.best_objective for r in results),
         f_avg=float(objectives.mean()),
         std=float(objectives.std()),
         t_avg=float(times.mean()),

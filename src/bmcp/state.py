@@ -35,15 +35,6 @@ class Swap:
 Move = Flip | Swap
 
 
-@dataclass(frozen=True)
-class MoveDelta:
-    """Effect of a move: objective change, weight change, feasibility after."""
-
-    objective: int
-    weight: int
-    feasible: bool
-
-
 class SearchState:
     """Mutable selection plus derived quantities, one owner at a time."""
 
@@ -90,43 +81,6 @@ class SearchState:
     @property
     def selected_items(self) -> np.ndarray:
         return np.flatnonzero(self.selection)
-
-    def flip_delta(self, item: int) -> MoveDelta:
-        """Effect of toggling ``item``; computed without mutating."""
-        inst = self.instance
-        row = inst.rows[item]
-        counts = self.coverage[row]
-        prof = inst.profits[row]
-        if self.selection[item]:
-            dobj = -int(prof[counts == 1].sum())
-            dw = -int(inst.weights[item])
-        else:
-            dobj = int(prof[counts == 0].sum())
-            dw = int(inst.weights[item])
-        return MoveDelta(dobj, dw, self.total_weight + dw <= inst.capacity)
-
-    def swap_delta(self, out_item: int, in_item: int) -> MoveDelta:
-        """Effect of exchanging a selected item for an unselected one."""
-        if not self.selection[out_item]:
-            raise ValueError(f"out_item {out_item} is not selected")
-        if self.selection[in_item]:
-            raise ValueError(f"in_item {in_item} is already selected")
-        inst = self.instance
-        row_out = inst.rows[out_item]
-        row_in = inst.rows[in_item]
-        lost = int(inst.profits[row_out][self.coverage[row_out] == 1].sum())
-        counts_in = self.coverage[row_in].copy()
-        counts_in[np.isin(row_in, row_out, assume_unique=True)] -= 1
-        gained = int(inst.profits[row_in][counts_in == 0].sum())
-        dw = int(inst.weights[in_item]) - int(inst.weights[out_item])
-        return MoveDelta(
-            gained - lost, dw, self.total_weight + dw <= inst.capacity
-        )
-
-    def move_delta(self, move: Move) -> MoveDelta:
-        if isinstance(move, Flip):
-            return self.flip_delta(move.item)
-        return self.swap_delta(move.out_item, move.in_item)
 
     def _flip_in(self, item: int) -> None:
         inst = self.instance

@@ -7,6 +7,12 @@ Both items touched by a move become tabu for ``tenure`` iterations;
 a tabu move is still admitted when it would beat the best objective seen
 so far in the phase (aspiration). Exact ties in the integer move deltas
 are broken uniformly at random.
+
+Every move delta is computed in int64 from the instance's CSR incidence
+matrix, with no float step: flip gains and losses are two matvecs, and the
+swap correction is an integer scatter over the uniquely covered elements.
+:data:`bmcp.instance.MAX_TOTAL` bounds the instance totals so that no
+intermediate can overflow.
 """
 
 from __future__ import annotations
@@ -23,15 +29,6 @@ from .state import Flip, Move, SearchState, Swap
 
 if TYPE_CHECKING:
     from .learning import ProbabilityVector
-
-# Up to this m*n the incidence matrix is densified for the neighborhood
-# scan (64 MB of float64 at the limit); larger instances stay sparse.
-_DENSE_LIMIT = 1 << 23
-
-# Deltas are exact in float64 as long as every partial sum of profits
-# stays below 2^52; beyond that the scan falls back to int64 arithmetic.
-_FLOAT_SAFE = 1 << 52
-
 
 def tabu_tenure(m: int, n: int) -> int:
     """Tenure grows with instance size: 4 + floor(max(m, n) / 100)."""
@@ -96,77 +93,77 @@ class TabuList:
         return self.expiry >= self.iteration
 
 
-class _MoveEvaluator:
-    """Vectorized move deltas for one instance.
+def _flip_deltas(state: SearchState) -> tuple[np.ndarray, np.ndarray]:
+    """Per-item objective gain of flipping in and loss of flipping out.
 
-    ``deltas`` gives, for every item at once, the objective gain of
-    flipping it in (meaningful where unselected) and the loss of flipping
-    it out (where selected): a single matvec against the incidence matrix
-    with profits masked to uncovered / uniquely covered elements.
-    ``swap_matrix`` adds the correction term for elements the leaving and
-    entering rows share.
-
-    Arithmetic runs in float64 on a densified incidence matrix whenever
-    that is safe and fits (every value is an integer well below 2^53, so
-    results and tie comparisons stay exact while matmuls hit BLAS).
+    ``gain`` is meaningful where the item is unselected, ``loss`` where it
+    is selected: one int64 matvec each, against the profits of uncovered
+    and of uniquely covered elements.
     """
-
-    __slots__ = ("instance", "weights", "profits", "zero", "sparse", "A")
-
-    def __init__(self, inst: Instance):
-        self.instance = inst
-        self.weights = inst.weights
-        exact_in_float = int(inst.profits.max()) * inst.n < _FLOAT_SAFE
-        dtype = np.float64 if exact_in_float else np.int64
-        self.sparse = inst.m * inst.n > _DENSE_LIMIT
-        if self.sparse:
-            A = inst.incidence
-            self.A = A.astype(dtype) if exact_in_float else A
-        else:
-            self.A = inst.incidence.toarray().astype(dtype)
-        self.profits = inst.profits.astype(dtype)
-        self.zero = dtype(0)
-
-    def deltas(self, state: SearchState) -> tuple[np.ndarray, np.ndarray]:
-        cov = state.coverage
-        gain = self.A @ np.where(cov == 0, self.profits, self.zero)
-        loss = self.A @ np.where(cov == 1, self.profits, self.zero)
-        return gain, loss
-
-    def swap_matrix(
-        self,
-        state: SearchState,
-        sel_idx: np.ndarray,
-        unsel_idx: np.ndarray,
-        gain: np.ndarray,
-        loss: np.ndarray,
-    ) -> np.ndarray:
-        """Objective deltas for every (selected, unselected) exchange."""
-        unique_profit = np.where(state.coverage == 1, self.profits, self.zero)
-        if self.sparse:
-            corr = (
-                self.A[sel_idx].multiply(unique_profit) @ self.A[unsel_idx].T
-            ).toarray()
-        else:
-            # Full s-by-m product: BLAS consumes the transposed view
-            # without a copy, the column slice afterwards is small.
-            corr = ((self.A[sel_idx] * unique_profit) @ self.A.T)[:, unsel_idx]
-        return gain[unsel_idx][None, :] - loss[sel_idx][:, None] + corr
+    inst = state.instance
+    cov = state.coverage
+    gain = inst.incidence @ np.where(cov == 0, inst.profits, 0)
+    loss = inst.incidence @ np.where(cov == 1, inst.profits, 0)
+    return gain, loss
 
 
-def _pick_move(
-    evaluator: _MoveEvaluator,
+def _swap_deltas(
+    state: SearchState,
+    sel_idx: np.ndarray,
+    unsel_idx: np.ndarray,
+    gain: np.ndarray,
+    loss: np.ndarray,
+) -> np.ndarray:
+    """Objective deltas for every (selected, unselected) exchange.
+
+    Swapping a out for b gains ``gain[b] - loss[a]`` plus the profit of
+    elements that a covers alone and b covers too: b keeps those covered.
+    Each uniquely covered element has exactly one selected owner, so the
+    correction is a scatter of its profit onto (owner, b) for every
+    unselected b covering it.
+    """
+    inst = state.instance
+    # Incidence entries (item, element) whose element is covered once.
+    hit = np.flatnonzero((state.coverage == 1)[inst.incidence.indices])
+    items = inst.incidence_items[hit]
+    elems = inst.incidence.indices[hit]
+    owned = state.selection[items]
+    owner = np.empty(inst.n, dtype=np.int64)
+    owner[elems[owned]] = items[owned]
+    entering, elems = items[~owned], elems[~owned]
+    rank = np.empty(inst.m, dtype=np.int64)
+    rank[sel_idx] = np.arange(sel_idx.size)
+    rank[unsel_idx] = np.arange(unsel_idx.size)
+    # Flat indices take numpy's fast path for integer scatter-add.
+    corr = np.zeros(sel_idx.size * unsel_idx.size, dtype=np.int64)
+    np.add.at(
+        corr,
+        rank[owner[elems]] * unsel_idx.size + rank[entering],
+        inst.profits[elems],
+    )
+    corr = corr.reshape(sel_idx.size, unsel_idx.size)
+    return gain[unsel_idx][None, :] - loss[sel_idx][:, None] + corr
+
+
+def select_move(
     state: SearchState,
     tabu: TabuList,
     best_so_far: int,
     rng: np.random.Generator,
 ) -> Move | None:
-    inst = evaluator.instance
-    weights = evaluator.weights
+    """Best admissible move at the tabu list's current iteration, or None.
+
+    Admissible: feasible and either non-tabu or past the aspiration bar.
+    The best may worsen the objective; ties break uniformly via ``rng``
+    over the candidates in order: flip-ins, flip-outs, then swaps by
+    (leaving, entering) item.
+    """
+    inst = state.instance
+    weights = inst.weights
     headroom = inst.capacity - state.total_weight
     sel_idx = np.flatnonzero(state.selection)
     unsel_idx = np.flatnonzero(~state.selection)
-    gain, loss = evaluator.deltas(state)
+    gain, loss = _flip_deltas(state)
     tabu_now = tabu.mask()
     free_sel = ~tabu_now[sel_idx]
     free_unsel = ~tabu_now[unsel_idx]
@@ -187,7 +184,7 @@ def _pick_move(
         deltas.append(d)
         admissible.append(free_sel | (d > threshold))
     if sel_idx.size and unsel_idx.size:
-        d = evaluator.swap_matrix(state, sel_idx, unsel_idx, gain, loss)
+        d = _swap_deltas(state, sel_idx, unsel_idx, gain, loss)
         dw = weights[unsel_idx][None, :] - weights[sel_idx][:, None]
         ok = (dw <= headroom) & (
             (free_sel[:, None] & free_unsel[None, :]) | (d > threshold)
@@ -195,21 +192,12 @@ def _pick_move(
         deltas.append(d.ravel())
         admissible.append(ok.ravel())
 
-    if not deltas:
-        return None
     flat_d = np.concatenate(deltas)
     flat_ok = np.concatenate(admissible)
-    if flat_d.dtype == np.float64:
-        masked = np.where(flat_ok, flat_d, -np.inf)
-        best = masked.max()
-        if best == -np.inf:
-            return None
-    else:
-        if not flat_ok.any():
-            return None
-        masked = np.where(flat_ok, flat_d, np.iinfo(np.int64).min)
-        best = masked.max()
-    ties = np.flatnonzero(masked == best)
+    if not flat_ok.any():
+        return None
+    best = flat_d[flat_ok].max()
+    ties = np.flatnonzero(flat_ok & (flat_d == best))
     pick = int(ties[0] if ties.size == 1 else ties[rng.integers(ties.size)])
 
     n_in = unsel_idx.size
@@ -221,20 +209,6 @@ def _pick_move(
         return Flip(int(sel_idx[pick]))
     pick -= n_out
     return Swap(int(sel_idx[pick // n_in]), int(unsel_idx[pick % n_in]))
-
-
-def select_move(
-    state: SearchState,
-    tabu: TabuList,
-    best_so_far: int,
-    rng: np.random.Generator,
-) -> Move | None:
-    """Best admissible move at the tabu list's current iteration, or None.
-
-    Admissible: feasible and either non-tabu or past the aspiration bar.
-    The best may worsen the objective; ties break uniformly via ``rng``.
-    """
-    return _pick_move(_MoveEvaluator(state.instance), state, tabu, best_so_far, rng)
 
 
 def random_fill(
@@ -269,15 +243,14 @@ def descent_local_search(
     state: SearchState, rng: np.random.Generator
 ) -> SearchState:
     """Apply best improving swaps until none exists; mutates and returns state."""
-    evaluator = _MoveEvaluator(state.instance)
     weights = state.instance.weights
     while True:
         sel_idx = np.flatnonzero(state.selection)
         unsel_idx = np.flatnonzero(~state.selection)
         if not sel_idx.size or not unsel_idx.size:
             return state
-        gain, loss = evaluator.deltas(state)
-        d = evaluator.swap_matrix(state, sel_idx, unsel_idx, gain, loss)
+        gain, loss = _flip_deltas(state)
+        d = _swap_deltas(state, sel_idx, unsel_idx, gain, loss)
         headroom = state.instance.capacity - state.total_weight
         ok = (weights[unsel_idx][None, :] - weights[sel_idx][:, None]) <= headroom
         if not ok.any():
@@ -312,14 +285,13 @@ def tabu_search(
     state after every applied move. ``deadline`` (a perf_counter value)
     cuts the phase short once the wall clock passes it.
     """
-    evaluator = _MoveEvaluator(state.instance)
     tabu = TabuList(state.instance.m, params.tenure)
     best = state.copy()
     non_improving = 0
     while non_improving < params.depth:
         if deadline is not None and time.perf_counter() >= deadline:
             break
-        move = _pick_move(evaluator, state, tabu, best.objective, rng)
+        move = select_move(state, tabu, best.objective, rng)
         if move is None:
             break
         state.apply(move)

@@ -1,12 +1,14 @@
 """Shared fixtures and independent reference implementations.
 
 The reference routines here deliberately avoid the package's incremental
-code paths: rebuilds go through a single sparse matvec, optima through
-plain subset enumeration, and LP values through a from-scratch parse of
-the rendered text. Tests compare the fast paths against these.
+code paths: rebuilds go through a single sparse matvec, move deltas
+through one item row at a time, optima through plain subset enumeration,
+and LP values through a from-scratch parse of the rendered text. Tests
+compare the fast paths against these.
 """
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -50,6 +52,53 @@ def rebuild(inst, selection):
     weight = int(inst.weights[selection].sum())
     objective = int(inst.profits[counts > 0].sum())
     return counts, weight, objective
+
+
+@dataclass(frozen=True)
+class MoveDelta:
+    """Effect of a move: objective change, weight change, feasibility after."""
+
+    objective: int
+    weight: int
+    feasible: bool
+
+
+def flip_delta(state, item):
+    """Scalar effect of toggling ``item``; the state is not mutated."""
+    inst = state.instance
+    row = inst.rows[item]
+    counts = state.coverage[row]
+    prof = inst.profits[row]
+    if state.selection[item]:
+        dobj = -int(prof[counts == 1].sum())
+        dw = -int(inst.weights[item])
+    else:
+        dobj = int(prof[counts == 0].sum())
+        dw = int(inst.weights[item])
+    return MoveDelta(dobj, dw, state.total_weight + dw <= inst.capacity)
+
+
+def swap_delta(state, out_item, in_item):
+    """Scalar effect of exchanging a selected item for an unselected one."""
+    if not state.selection[out_item]:
+        raise ValueError(f"out_item {out_item} is not selected")
+    if state.selection[in_item]:
+        raise ValueError(f"in_item {in_item} is already selected")
+    inst = state.instance
+    row_out = inst.rows[out_item]
+    row_in = inst.rows[in_item]
+    lost = int(inst.profits[row_out][state.coverage[row_out] == 1].sum())
+    counts_in = state.coverage[row_in].copy()
+    counts_in[np.isin(row_in, row_out, assume_unique=True)] -= 1
+    gained = int(inst.profits[row_in][counts_in == 0].sum())
+    dw = int(inst.weights[in_item]) - int(inst.weights[out_item])
+    return MoveDelta(gained - lost, dw, state.total_weight + dw <= inst.capacity)
+
+
+def move_delta(state, move):
+    if isinstance(move, bmcp.Flip):
+        return flip_delta(state, move.item)
+    return swap_delta(state, move.out_item, move.in_item)
 
 
 def brute_force_value(inst):

@@ -160,6 +160,51 @@ def test_generate_rejects_bad_density(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "profits",
+    ["4000000000000000000 4000000000000000000 4000000000000000000",
+     "9300000000000000000 1 1"],
+    ids=["wrapping_total", "beyond_int64"],
+)
+def test_oversized_profits_are_one_line_parse_error(tmp_path, capsys, profits):
+    path = tmp_path / "big.bmcp"
+    path.write_text(f"BMCP 1\n3 3 100\n1 1 1\n{profits}\n1 1\n1 2\n1 3\n")
+    code = main(
+        ["solve", "--instance", str(path), "--rounds", "2",
+         "--solution", str(tmp_path / "big.sol")]
+    )
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("parse error: line 4: profit total")
+
+
+def test_solve_is_exact_just_below_the_total_bound(tmp_path, capsys):
+    # Five elements whose profits sum to the largest accepted total; any
+    # float step on the way to f_best would round these values.
+    limit = bmcp.instance.MAX_TOTAL - 1
+    profits = [limit // 5 - k for k in range(4)]
+    profits.append(limit - sum(profits))
+    path = tmp_path / "edge.bmcp"
+    path.write_text(
+        "BMCP 1\n4 5 5\n2 3 2 3\n" + " ".join(map(str, profits)) + "\n"
+        "2 1 2\n2 2 3\n2 4 5\n3 1 3 5\n"
+    )
+    inst = bmcp.load_instance(path)
+    optimum, _ = bmcp.exact_optimum(inst)
+    result = bmcp.solve(inst, bmcp.SolverConfig(max_rounds=3, depth=20, seed=1))
+    assert result.best_objective == optimum
+    assert main(
+        ["solve", "--instance", str(path), "--rounds", "3", "--depth", "20",
+         "--solution", str(tmp_path / "edge.sol")]
+    ) == 0
+    assert main(["exact", "--instance", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert int(out[1].split(",")[3]) == optimum
+    assert out[2] == f"objective {optimum}"
+
+
 def test_unknown_subcommand_exits_with_usage(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["frobnicate"])

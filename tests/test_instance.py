@@ -56,6 +56,9 @@ BAD_FILES = [
     ("BMCP 1\n3 3 10\n4 5 6\n3 7 2\n2 1 2\n\n2 1 3\n", "count mismatch", 6),
     ("BMCP 1\n3 3 10\n4 5 6\n3 7 2\n2 1 2\n2 2 3\n", "end of file", 7),
     (TINY_TEXT + "stray\n", "trailing content", 8),
+    ("BMCP 1\n2 3 10\n4611686018427387903 1\n", "weight total", 3),
+    ("BMCP 1\n3 3 10\n4 5 6\n" + "4000000000000000000 " * 3, "profit total", 4),
+    ("BMCP 1\n3 3 10\n4 5 6\n9300000000000000000 1 1\n", "profit total", 4),
 ]
 
 
@@ -79,6 +82,25 @@ def test_uncovered_element_warns():
     text = "BMCP 1\n2 3 10\n1 1\n1 1 1\n1 1\n1 2\n"
     with pytest.warns(InstanceWarning, match="no item"):
         bmcp.parse_instance(text)
+
+
+def test_constructor_bounds_totals():
+    rows = (np.array([0]), np.array([1]))
+    # Just below the bound is accepted.
+    bmcp.Instance(
+        weights=np.array([1, bmcp.instance.MAX_TOTAL - 2]),
+        profits=np.array([bmcp.instance.MAX_TOTAL - 2, 1]),
+        capacity=1, rows=rows,
+    )
+    for weights, profits in [
+        ([1 << 61, 1 << 61], [1, 1]),
+        ([1, 1], [1 << 61, 1 << 61]),
+        ([1, 1], [1, 1 << 63]),
+    ]:
+        with pytest.raises(ValueError, match="total|int64"):
+            bmcp.Instance(
+                weights=weights, profits=profits, capacity=1, rows=rows
+            )
 
 
 def test_density(tiny):
@@ -178,6 +200,8 @@ class TestGenerator:
             dict(m=5, n=5, density=0.1, capacity=10, profit_range=(9, 3)),
             dict(m=1 << 14, n=1 << 14, density=0.1, capacity=10),
             dict(m=5, n=5, density=0.1, capacity=10, seed=-1),
+            dict(m=4, n=5, density=0.1, capacity=10, weight_range=(1, 1 << 60)),
+            dict(m=5, n=4, density=0.1, capacity=10, profit_range=(1, 1 << 60)),
         ],
     )
     def test_spec_validation(self, kwargs):

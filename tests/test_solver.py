@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import time
 
 import numpy as np
@@ -150,3 +151,61 @@ def test_summarize_constant_values():
 def test_summarize_empty():
     with pytest.raises(ValueError):
         bmcp.summarize([])
+
+
+# Rounds-mode replay pins, recorded before the move evaluator was rewritten:
+# (generator spec, rounds, depth, policy, best objective, observed states,
+# digest of the observed objective sequence, best items 1-based). A change
+# to any move, tie-break draw or restart shows up here.
+REPLAY_PINS = [
+    (
+        dict(m=100, n=100, density=0.075, capacity=350, seed=5), 4, 60,
+        "probability", 5236, 441, "1a5e45da764d7bc0",
+        [3, 4, 15, 16, 17, 18, 24, 27, 45, 48, 51, 54, 60, 64, 65, 78, 83,
+         87, 88, 96],
+    ),
+    (
+        dict(m=100, n=100, density=0.075, capacity=350, seed=5), 4, 60,
+        "random", 5236, 357, "947614ba16563192",
+        [3, 4, 15, 16, 17, 18, 24, 27, 45, 48, 51, 54, 60, 64, 65, 78, 83,
+         87, 88, 96],
+    ),
+    (
+        dict(m=300, n=320, density=0.04, capacity=900, seed=6), 3, 40,
+        "probability", 15943, 457, "58cca523bf751562",
+        [3, 6, 20, 22, 33, 34, 41, 53, 57, 58, 70, 86, 94, 96, 102, 105, 110,
+         112, 116, 133, 134, 135, 139, 153, 163, 168, 175, 187, 188, 191, 199,
+         210, 220, 223, 226, 230, 231, 234, 239, 255, 256, 258, 259, 271, 272,
+         281, 284, 294],
+    ),
+    (
+        dict(m=300, n=320, density=0.04, capacity=900, seed=6), 3, 40,
+        "random", 15925, 426, "d9f529c380845497",
+        [3, 6, 20, 22, 34, 53, 54, 70, 86, 90, 94, 96, 102, 105, 123, 133,
+         134, 135, 147, 153, 158, 161, 167, 168, 169, 175, 187, 192, 194, 200,
+         206, 208, 210, 220, 223, 231, 234, 239, 255, 256, 258, 259, 281, 284,
+         294, 298],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "spec,rounds,depth,policy,best,visits,digest,items",
+    REPLAY_PINS,
+    ids=[f"m{p[0]['m']}-{p[3]}" for p in REPLAY_PINS],
+)
+def test_rounds_mode_replays_pinned_moves(
+    spec, rounds, depth, policy, best, visits, digest, items
+):
+    inst = bmcp.generate_instance(bmcp.GeneratorSpec(**spec))
+    seen = []
+    result = bmcp.solve(
+        inst,
+        SolverConfig(max_rounds=rounds, depth=depth, seed=3, perturbation=policy),
+        observer=lambda s: seen.append(s.objective),
+    )
+    trail = hashlib.sha256(np.asarray(seen, dtype=np.int64).tobytes())
+    assert result.best_objective == best
+    assert (np.flatnonzero(result.best_selection) + 1).tolist() == items
+    assert len(seen) == visits
+    assert trail.hexdigest()[:16] == digest

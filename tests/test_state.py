@@ -3,7 +3,7 @@ import pytest
 
 import bmcp
 from bmcp import Flip, InfeasibleError, SearchState, Swap
-from conftest import make_instance, rebuild
+from conftest import make_instance, move_delta, rebuild, swap_delta
 
 
 def state_of(inst, items):
@@ -44,16 +44,16 @@ DELTA_CASES = [
 
 @pytest.mark.parametrize("items,move,expected", DELTA_CASES)
 def test_move_deltas(tiny, items, move, expected):
-    delta = state_of(tiny, items).move_delta(move)
+    delta = move_delta(state_of(tiny, items), move)
     assert (delta.objective, delta.weight, delta.feasible) == expected
 
 
 def test_swap_preconditions(tiny):
     s = state_of(tiny, [0])
     with pytest.raises(ValueError):
-        s.swap_delta(1, 2)
+        swap_delta(s, 1, 2)
     with pytest.raises(ValueError):
-        s.swap_delta(0, 0)
+        swap_delta(s, 0, 0)
     with pytest.raises(ValueError):
         s.apply(Swap(1, 2))
 
@@ -101,7 +101,7 @@ def test_random_walk_matches_rebuild():
                 int(sel[rng.integers(sel.size)]),
                 int(unsel[rng.integers(unsel.size)]),
             )
-        delta = state.move_delta(move)
+        delta = move_delta(state, move)
         if not delta.feasible:
             continue
         before = state.objective

@@ -3,8 +3,8 @@ import pytest
 
 import bmcp
 from bmcp import ConfigError, Flip, SearchState, Swap, TabuList
-from bmcp.tabu import TsParams
-from conftest import make_instance
+from bmcp.tabu import TsParams, _flip_deltas, _swap_deltas
+from conftest import flip_delta, make_instance, move_delta, swap_delta
 
 
 def state_of(inst, items):
@@ -111,7 +111,7 @@ class TestSelectMove:
         tabu.advance()
         move = bmcp.select_move(state, tabu, 13, np.random.default_rng(0))
         assert move is not None
-        delta = state.move_delta(move)
+        delta = move_delta(state, move)
         assert delta.objective < 0
 
 
@@ -159,7 +159,7 @@ def test_descent_output_has_no_improving_swap():
     assert state.total_weight <= inst.capacity
     for out_item in np.flatnonzero(state.selection):
         for in_item in np.flatnonzero(~state.selection):
-            delta = state.swap_delta(int(out_item), int(in_item))
+            delta = swap_delta(state, int(out_item), int(in_item))
             assert not (delta.feasible and delta.objective > 0)
 
 
@@ -222,48 +222,59 @@ def test_tabu_search_halts_without_moves():
     assert best.objective == 0
 
 
-def test_sparse_scan_matches_dense(monkeypatch):
-    # Forcing the sparse evaluator must reproduce the dense walk exactly:
-    # deltas are identical integers, so every tie-break draw lines up.
-    inst = make_instance(40, 50, 0.1, 0.4, seed=15)
-
-    def run():
-        state = SearchState.from_selection(
-            inst, bmcp.random_fill(inst, np.random.default_rng(7))
-        )
-        return bmcp.tabu_search(
-            state,
-            bmcp.ProbabilityVector.initial(inst.m),
-            TsParams(depth=60, tenure=4),
-            np.random.default_rng(11),
-        )[0]
-
-    dense = run()
-    monkeypatch.setattr("bmcp.tabu._DENSE_LIMIT", 0)
-    sparse = run()
-    assert dense.objective == sparse.objective
-    assert np.array_equal(dense.selection, sparse.selection)
+def _instance_with_gaps():
+    # Items 1 and 4 cover nothing; elements 5 and 6 are covered by no item.
+    return bmcp.Instance(
+        weights=np.array([3, 2, 4, 1, 5, 2]),
+        profits=np.array([5, 7, 1, 9, 4, 6, 8]),
+        capacity=9,
+        rows=([0, 1], [], [1, 2, 3], [3], [], [0, 2, 4]),
+    )
 
 
-def test_int64_scan_matches_float(monkeypatch):
-    inst = make_instance(30, 40, 0.12, 0.4, seed=16)
+def _instance_near_2_58():
+    # Profit gaps of a few units at 2^58, where float64 resolves only
+    # multiples of 64; 15 elements keep the total below 2^62.
+    base = make_instance(20, 15, 0.2, 0.5, seed=17)
+    rng = np.random.default_rng(17)
+    return bmcp.Instance(
+        weights=base.weights,
+        profits=(1 << 58) + rng.integers(0, 50, size=base.n),
+        capacity=base.capacity,
+        rows=base.rows,
+    )
 
-    def run():
-        state = SearchState.from_selection(
-            inst, bmcp.random_fill(inst, np.random.default_rng(3))
-        )
-        return bmcp.tabu_search(
-            state,
-            bmcp.ProbabilityVector.initial(inst.m),
-            TsParams(depth=60, tenure=4),
-            np.random.default_rng(19),
-        )[0]
 
-    floats = run()
-    monkeypatch.setattr("bmcp.tabu._FLOAT_SAFE", 0)
-    ints = run()
-    assert floats.objective == ints.objective
-    assert np.array_equal(floats.selection, ints.selection)
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: make_instance(40, 50, 0.1, 0.4, seed=15),
+        _instance_with_gaps,
+        _instance_near_2_58,
+    ],
+    ids=["generated", "gaps", "near_2_58"],
+)
+def test_evaluator_matches_scalar_reference(build):
+    inst = build()
+    rng = np.random.default_rng(23)
+    for _ in range(25):
+        sel = bmcp.random_fill(inst, rng)
+        sel &= rng.random(inst.m) < 0.8
+        state = SearchState.from_selection(inst, sel)
+        sel_idx = np.flatnonzero(sel)
+        unsel_idx = np.flatnonzero(~sel)
+        gain, loss = _flip_deltas(state)
+        assert gain.dtype == loss.dtype == np.int64
+        for i in unsel_idx:
+            assert gain[i] == flip_delta(state, int(i)).objective
+        for i in sel_idx:
+            assert -loss[i] == flip_delta(state, int(i)).objective
+        swaps = _swap_deltas(state, sel_idx, unsel_idx, gain, loss)
+        assert swaps.dtype == np.int64
+        assert swaps.shape == (sel_idx.size, unsel_idx.size)
+        for r, a in enumerate(sel_idx):
+            for c, b in enumerate(unsel_idx):
+                assert swaps[r, c] == swap_delta(state, int(a), int(b)).objective
 
 
 def test_tabu_search_respects_deadline():
