@@ -64,7 +64,15 @@ def read_solution(path, inst: Instance) -> np.ndarray:
     tokens = Path(path).read_text().split()
     if not tokens:
         raise FormatError("empty solution file", 1)
-    items = [int(t) - 1 for t in tokens[1:]]
+    items = []
+    for tok in tokens[1:]:
+        try:
+            item = int(tok)
+        except ValueError:
+            raise FormatError(f"invalid integer {tok!r}", 1) from None
+        if not 1 <= item <= inst.m:
+            raise FormatError(f"item index {item} out of 1..{inst.m}", 1)
+        items.append(item - 1)
     sel = selection_from_items(inst.m, items)
     if total_weight(inst, sel) > inst.capacity:
         raise InfeasibleError("solution exceeds capacity")

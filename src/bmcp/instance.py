@@ -23,8 +23,9 @@ memory.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -56,10 +57,15 @@ class Instance:
     :param profits: per-element profits, shape (n,), positive int64 with a
         total below :data:`MAX_TOTAL`.
     :param capacity: knapsack capacity C >= 0.
-    :param rows: per-item covered elements, each a sorted unique int64 array
-        of 0-based element indices.
+    :param rows: per-item covered elements as 0-based element indices, in
+        any order and possibly repeated; stored sorted and unique.
     :param name: presentation label used in file names and CSV rows; not
         part of equality.
+
+    The incidence is kept as one read-only CSR pair: ``indices`` holds every
+    row's sorted unique elements back to back, and item i covers
+    ``indices[indptr[i]:indptr[i + 1]]``. Each entry of ``rows`` is a
+    read-only int64 view of its slice.
     """
 
     weights: np.ndarray
@@ -67,6 +73,8 @@ class Instance:
     capacity: int
     rows: tuple[np.ndarray, ...]
     name: str = ""
+    indptr: np.ndarray = field(init=False, repr=False)
+    indices: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         try:
@@ -91,19 +99,15 @@ class Instance:
             raise ValueError(
                 f"row count mismatch: {len(self.rows)} rows for {weights.size} items"
             )
-        rows = []
-        for i, row in enumerate(self.rows):
-            arr = np.unique(np.asarray(row, dtype=np.int64))
-            if arr.size and (arr[0] < 0 or arr[-1] >= profits.size):
-                raise ValueError(f"item {i}: element index out of range")
+        indptr, indices = _canonical_csr(self.rows, profits.size)
+        for arr in (weights, profits, indptr, indices):
             arr.flags.writeable = False
-            rows.append(arr)
-        weights.flags.writeable = False
-        profits.flags.writeable = False
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "profits", profits)
         object.__setattr__(self, "capacity", int(self.capacity))
-        object.__setattr__(self, "rows", tuple(rows))
+        object.__setattr__(self, "rows", _row_views(indptr, indices))
+        object.__setattr__(self, "indptr", indptr)
+        object.__setattr__(self, "indices", indices)
 
     @property
     def m(self) -> int:
@@ -118,25 +122,18 @@ class Instance:
     @property
     def density(self) -> float:
         """Fraction of nonzero cells in the m-by-n incidence matrix."""
-        return sum(r.size for r in self.rows) / (self.m * self.n)
+        return self.indices.size / (self.m * self.n)
 
     @cached_property
     def incidence(self) -> sp.csr_array:
-        """0/1 incidence matrix, items by elements, int64 CSR."""
-        indptr = np.zeros(self.m + 1, dtype=np.int64)
-        indptr[1:] = np.cumsum([r.size for r in self.rows])
-        indices = (
-            np.concatenate(self.rows)
-            if indptr[-1]
-            else np.empty(0, dtype=np.int64)
-        )
-        data = np.ones(indices.size, dtype=np.int64)
-        return sp.csr_array((data, indices, indptr), shape=(self.m, self.n))
+        """0/1 incidence matrix, items by elements, int64 CSR on ``indices``."""
+        data = np.ones(self.indices.size, dtype=np.int64)
+        return sp.csr_array((data, self.indices, self.indptr), shape=(self.m, self.n))
 
     @cached_property
     def incidence_items(self) -> np.ndarray:
-        """Item of every entry of ``incidence.indices``, in CSR order."""
-        return np.repeat(np.arange(self.m), [r.size for r in self.rows])
+        """Item of every entry of ``indices``, in CSR order."""
+        return np.repeat(np.arange(self.m), np.diff(self.indptr))
 
     def __eq__(self, other) -> bool:
         """Data equality; the name label is ignored."""
@@ -146,11 +143,49 @@ class Instance:
             self.capacity == other.capacity
             and np.array_equal(self.weights, other.weights)
             and np.array_equal(self.profits, other.profits)
-            and len(self.rows) == len(other.rows)
-            and all(np.array_equal(a, b) for a, b in zip(self.rows, other.rows))
+            and np.array_equal(self.indptr, other.indptr)
+            and np.array_equal(self.indices, other.indices)
         )
 
     __hash__ = None
+
+
+def _canonical_csr(rows, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSR pair of ``rows`` with each row sorted and unique; range-checked."""
+    arrays = [np.asarray(row, dtype=np.int64).ravel() for row in rows]
+    indptr = _indptr([a.size for a in arrays])
+    indices = np.concatenate(arrays)
+    bad = (indices < 0) | (indices >= n)
+    if bad.any():
+        item = np.searchsorted(indptr, np.argmax(bad), side="right") - 1
+        raise ValueError(f"item {item}: element index out of range")
+    # Rows that are already strictly ascending (every parsed or generated
+    # instance) need no sort: a step across a row boundary does not count.
+    ascending = np.diff(indices) > 0
+    starts = indptr[1:-1]
+    ascending[starts[(starts > 0) & (starts < indices.size)] - 1] = True
+    if not ascending.all():
+        items = np.repeat(np.arange(len(arrays)), np.diff(indptr))
+        order = np.lexsort((indices, items))
+        indices, items = indices[order], items[order]
+        keep = np.ones(indices.size, dtype=bool)
+        keep[1:] = (indices[1:] != indices[:-1]) | (items[1:] != items[:-1])
+        indices = indices[keep]
+        indptr = _indptr(np.bincount(items[keep], minlength=len(arrays)))
+    return indptr, indices
+
+
+def _indptr(counts) -> np.ndarray:
+    """CSR row pointer of the given per-row entry counts."""
+    indptr = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return indptr
+
+
+def _row_views(indptr: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Row i of a CSR pair as the slice ``indices[indptr[i]:indptr[i + 1]]``."""
+    bounds = indptr.tolist()
+    return tuple(indices[a:b] for a, b in zip(bounds, bounds[1:]))
 
 
 def _total_message(label: str) -> str:
@@ -184,34 +219,25 @@ def total_weight(inst: Instance, selection) -> int:
 
 def full_objective(inst: Instance, selection) -> int:
     """Objective recomputed from scratch: profit of all covered elements."""
-    sel = as_selection(inst.m, selection)
-    covered = np.zeros(inst.n, dtype=bool)
-    for i in np.flatnonzero(sel):
-        covered[inst.rows[i]] = True
-    return int(inst.profits[covered].sum())
+    return int(inst.profits[coverage_counts(inst, selection) > 0].sum())
 
 
 def coverage_counts(inst: Instance, selection) -> np.ndarray:
     """Per-element count of selected items covering it, from scratch."""
     sel = as_selection(inst.m, selection)
-    counts = np.zeros(inst.n, dtype=np.int64)
-    for i in np.flatnonzero(sel):
-        counts[inst.rows[i]] += 1
-    return counts
-
-
-def _tokens_of(line: str) -> list[str]:
-    return line.split()
+    return np.bincount(inst.indices[sel[inst.incidence_items]], minlength=inst.n)
 
 
 def _ints(tokens: Sequence[str], lineno: int) -> list[int]:
-    out = []
-    for tok in tokens:
-        try:
-            out.append(int(tok))
-        except ValueError:
-            raise FormatError(f"invalid integer {tok!r}", lineno) from None
-    return out
+    try:
+        return list(map(int, tokens))
+    except ValueError:
+        for tok in tokens:
+            try:
+                int(tok)
+            except ValueError:
+                raise FormatError(f"invalid integer {tok!r}", lineno) from None
+        raise
 
 
 def parse_instance(text: str, name: str = "") -> Instance:
@@ -228,11 +254,11 @@ def parse_instance(text: str, name: str = "") -> Instance:
         return lines[idx], idx + 1
 
     raw, lineno = line_at(0, "header")
-    if _tokens_of(raw) != HEADER.split():
+    if raw.split() != HEADER.split():
         raise FormatError(f"malformed header, expected {HEADER!r}", lineno)
 
     raw, lineno = line_at(1, "dimensions 'm n C'")
-    dims = _tokens_of(raw)
+    dims = raw.split()
     if len(dims) != 3:
         raise FormatError("dimension count mismatch: expected 'm n C'", lineno)
     m, n, capacity = _ints(dims, lineno)
@@ -242,59 +268,40 @@ def parse_instance(text: str, name: str = "") -> Instance:
         raise FormatError("negative capacity", lineno)
 
     raw, lineno = line_at(2, "weights")
-    wtok = _tokens_of(raw)
+    wtok = raw.split()
     if len(wtok) != m:
         raise FormatError(f"weight count mismatch: expected {m}, got {len(wtok)}", lineno)
     weights = _ints(wtok, lineno)
-    if any(w <= 0 for w in weights):
+    if min(weights) <= 0:
         raise FormatError("nonpositive weight", lineno)
     if sum(weights) >= MAX_TOTAL:
         raise FormatError(_total_message("weight"), lineno)
 
     raw, lineno = line_at(3, "profits")
-    ptok = _tokens_of(raw)
+    ptok = raw.split()
     if len(ptok) != n:
         raise FormatError(f"profit count mismatch: expected {n}, got {len(ptok)}", lineno)
     profits = _ints(ptok, lineno)
-    if any(p <= 0 for p in profits):
+    if min(profits) <= 0:
         raise FormatError("nonpositive profit", lineno)
     if sum(profits) >= MAX_TOTAL:
         raise FormatError(_total_message("profit"), lineno)
 
-    rows = []
-    for i in range(m):
-        raw, lineno = line_at(4 + i, f"coverage row {i + 1} of {m}")
-        rtok = _tokens_of(raw)
-        if not rtok:
-            raise FormatError(
-                "coverage row count mismatch: expected 'k e_1 ... e_k', got blank line",
-                lineno,
-            )
-        values = _ints(rtok, lineno)
-        k, elems = values[0], values[1:]
-        if k < 0:
-            raise FormatError(f"negative element count {k}", lineno)
-        if len(elems) != k:
-            raise FormatError(
-                f"element count mismatch: row declares {k}, got {len(elems)}", lineno
-            )
-        for e in elems:
-            if not 1 <= e <= n:
-                raise FormatError(f"element index {e} out of 1..{n}", lineno)
-        if any(b <= a for a, b in zip(elems, elems[1:])):
-            raise FormatError("element indices not strictly ascending", lineno)
-        rows.append(np.asarray(elems, dtype=np.int64) - 1)
+    row_lines = lines[4 : 4 + m]
+    counts, elems = _coverage_rows(row_lines, 5, n)
+    if len(row_lines) < m:
+        line_at(4 + len(row_lines), f"coverage row {len(row_lines) + 1} of {m}")
 
     for extra in range(4 + m, len(lines)):
         if lines[extra].strip():
             raise FormatError("trailing content after last coverage row", extra + 1)
 
-    empty = [i + 1 for i, r in enumerate(rows) if r.size == 0]
+    empty = (np.flatnonzero(counts == 0) + 1).tolist()
     if empty:
         warnings.warn(f"items with empty coverage: {empty}", InstanceWarning, stacklevel=2)
+    indices = elems - 1
     covered = np.zeros(n, dtype=bool)
-    for r in rows:
-        covered[r] = True
+    covered[indices] = True
     if not covered.all():
         uncovered = (np.flatnonzero(~covered) + 1).tolist()
         warnings.warn(f"elements covered by no item: {uncovered}", InstanceWarning, stacklevel=2)
@@ -303,9 +310,76 @@ def parse_instance(text: str, name: str = "") -> Instance:
         weights=np.asarray(weights, dtype=np.int64),
         profits=np.asarray(profits, dtype=np.int64),
         capacity=capacity,
-        rows=tuple(rows),
+        rows=_row_views(_indptr(counts), indices),
         name=name,
     )
+
+
+def _coverage_rows(lines: list[str], first_lineno: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Element count of each coverage row and all their 1-based elements.
+
+    Every token goes through one ``int`` pass and the rows are checked as
+    arrays. The first row that fails is then checked again on its own by
+    :func:`_check_row`, so the error and its line are those a row-by-row
+    parse reports.
+    """
+    sizes = []
+
+    def split_rows():
+        for line in lines:
+            tokens = line.split()
+            sizes.append(len(tokens))
+            yield tokens
+
+    try:
+        values = np.fromiter(map(int, chain.from_iterable(split_rows())), dtype=np.int64)
+    except (ValueError, OverflowError):
+        # A token that is no int64 fails the check of the row holding it.
+        for i, line in enumerate(lines):
+            _check_row(line, first_lineno + i, n)
+        raise
+    sizes = np.asarray(sizes, dtype=np.int64)
+    counts = sizes - 1
+    filled = sizes > 0
+    heads = (np.cumsum(sizes) - sizes)[filled]
+    is_elem = np.ones(values.size, dtype=bool)
+    is_elem[heads] = False
+    elems = values[is_elem]
+    owner = np.repeat(np.arange(len(lines)), np.maximum(counts, 0))
+    bad = ~filled
+    bad[filled] |= values[heads] != counts[filled]
+    bad[owner[(elems < 1) | (elems > n)]] = True
+    bad[owner[1:][(elems[1:] <= elems[:-1]) & (owner[1:] == owner[:-1])]] = True
+    for i in np.flatnonzero(bad).tolist():
+        _check_row(lines[i], first_lineno + i, n)
+    return counts, elems
+
+
+def _check_row(line: str, lineno: int, n: int) -> None:
+    """Raise the first error of one coverage row, if it has one.
+
+    The checks run in this order: blank line, invalid integer, negative
+    count, count mismatch, index range, ascending order.
+    """
+    tokens = line.split()
+    if not tokens:
+        raise FormatError(
+            "coverage row count mismatch: expected 'k e_1 ... e_k', got blank line",
+            lineno,
+        )
+    values = _ints(tokens, lineno)
+    k, elems = values[0], values[1:]
+    if k < 0:
+        raise FormatError(f"negative element count {k}", lineno)
+    if len(elems) != k:
+        raise FormatError(
+            f"element count mismatch: row declares {k}, got {len(elems)}", lineno
+        )
+    for e in elems:
+        if not 1 <= e <= n:
+            raise FormatError(f"element index {e} out of 1..{n}", lineno)
+    if any(b <= a for a, b in zip(elems, elems[1:])):
+        raise FormatError("element indices not strictly ascending", lineno)
 
 
 def load_instance(path) -> Instance:
@@ -318,11 +392,15 @@ def load_instance(path) -> Instance:
 
 def write_instance(inst: Instance) -> str:
     """Render the canonical text form (round-trips through parse_instance)."""
-    out = [HEADER, f"{inst.m} {inst.n} {inst.capacity}"]
-    out.append(" ".join(str(int(w)) for w in inst.weights))
-    out.append(" ".join(str(int(p)) for p in inst.profits))
-    for row in inst.rows:
-        out.append(" ".join([str(row.size)] + [str(int(e) + 1) for e in row]))
+    out = [
+        HEADER,
+        f"{inst.m} {inst.n} {inst.capacity}",
+        " ".join(map(str, inst.weights.tolist())),
+        " ".join(map(str, inst.profits.tolist())),
+    ]
+    elems = list(map(str, (inst.indices + 1).tolist()))
+    bounds = inst.indptr.tolist()
+    out.extend(" ".join([str(b - a), *elems[a:b]]) for a, b in zip(bounds, bounds[1:]))
     return "\n".join(out) + "\n"
 
 
@@ -395,11 +473,13 @@ def generate_instance(spec: GeneratorSpec) -> Instance:
         cells[i, rng.integers(spec.n)] = True
     for j in np.flatnonzero(~cells.any(axis=0)):
         cells[rng.integers(spec.m), j] = True
-    rows = tuple(np.flatnonzero(cells[i]).astype(np.int64) for i in range(spec.m))
+    # Flat row-major cell numbers: row i starts at the first one >= i * n.
+    flat = np.flatnonzero(cells)
+    indptr = np.searchsorted(flat, np.arange(spec.m + 1) * spec.n)
     return Instance(
         weights=weights,
         profits=profits,
         capacity=spec.capacity,
-        rows=rows,
+        rows=_row_views(indptr, flat % spec.n),
         name=instance_name(spec.m, spec.n, spec.density, spec.capacity),
     )

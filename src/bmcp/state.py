@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError
-from .instance import Instance, as_selection
+from .instance import Instance, as_selection, coverage_counts
 
 
 @dataclass(frozen=True)
@@ -54,9 +54,7 @@ class SearchState:
         Raises :class:`InfeasibleError` if the selection exceeds capacity.
         """
         sel = as_selection(instance.m, selection).copy()
-        coverage = np.zeros(instance.n, dtype=np.int64)
-        for i in np.flatnonzero(sel):
-            coverage[instance.rows[i]] += 1
+        coverage = coverage_counts(instance, sel)
         weight = int(instance.weights[sel].sum())
         if weight > instance.capacity:
             raise InfeasibleError(

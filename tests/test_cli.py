@@ -222,3 +222,9 @@ def test_solution_file_validation(tiny_file, tmp_path):
     empty.write_text("")
     with pytest.raises(bmcp.FormatError):
         read_solution(empty, inst)
+    for line in ("tiny1 x", "tiny1 1.5", "tiny1 0", "tiny1 4"):
+        bad = tmp_path / "bad_token.sol"
+        bad.write_text(line + "\n")
+        with pytest.raises(bmcp.FormatError) as err:
+            read_solution(bad, inst)
+        assert err.value.line == 1

@@ -1,8 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bmcp
 from bmcp import ConfigError, FormatError, InstanceWarning
+from bmcp.instance import MAX_TOTAL
 from conftest import TINY_TEXT
 
 
@@ -35,6 +40,8 @@ def test_save_load_roundtrip(tiny, tmp_path):
     assert loaded.name == "tiny1"
 
 
+H = "BMCP 1\n3 3 10\n4 5 6\n3 7 2\n"
+
 BAD_FILES = [
     ("BMXP 1\n3 3 10\n", "header", 1),
     ("BMCP 2\n3 3 10\n", "header", 1),
@@ -59,6 +66,16 @@ BAD_FILES = [
     ("BMCP 1\n2 3 10\n4611686018427387903 1\n", "weight total", 3),
     ("BMCP 1\n3 3 10\n4 5 6\n" + "4000000000000000000 " * 3, "profit total", 4),
     ("BMCP 1\n3 3 10\n4 5 6\n9300000000000000000 1 1\n", "profit total", 4),
+    # Several bad coverage rows: the first offending row wins, and within a
+    # row the first failing check (blank, integer, count, range, ascending).
+    (H + "2 1 x\n2 2 3\n\n", "invalid integer", 5),
+    (H + "2 1 9\n2 2 y\n2 1 3\n", "out of 1..3", 5),
+    (H + "2 1 2\n2 3 2\n", "ascending", 6),
+    (H + "3 1 2\n2 1 9\n2 1 3\n", "count mismatch", 5),
+    (H + "2 1 2\n\n2 1 z\n", "count mismatch", 6),
+    (H + "2 2 1\n2 1 2\n-1\n", "ascending", 5),
+    (H + "2 1 99999999999999999999\n2 2 x\n", "index 99999999999999999999 out of", 5),
+    (H + "-1\n2 2 x\n", "negative element count -1", 5),
 ]
 
 
@@ -207,3 +224,97 @@ class TestGenerator:
     def test_spec_validation(self, kwargs):
         with pytest.raises(ConfigError):
             bmcp.GeneratorSpec(**kwargs)
+
+
+# Property tests: few small examples each, since the tier-1 run is long.
+PROPERTY = settings(max_examples=40, deadline=None)
+
+
+@st.composite
+def raw_rows(draw, m, n):
+    """Coverage rows in any order, with repeats and empty rows."""
+    return tuple(
+        draw(st.lists(st.integers(0, n - 1), max_size=2 * n)) for _ in range(m)
+    )
+
+
+@st.composite
+def instances(draw):
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    return bmcp.Instance(
+        weights=draw(st.lists(st.integers(1, 100), min_size=m, max_size=m)),
+        profits=draw(st.lists(st.integers(1, 100), min_size=n, max_size=n)),
+        capacity=draw(st.integers(0, 300)),
+        rows=draw(raw_rows(m, n)),
+    )
+
+
+@st.composite
+def split_total(draw, total):
+    """1 to 4 positive integers summing to ``total``."""
+    cuts = sorted(draw(st.sets(st.integers(1, total - 1), max_size=3)))
+    return [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+
+
+@PROPERTY
+@given(instances())
+def test_text_roundtrip_property(inst):
+    text = bmcp.write_instance(inst)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", InstanceWarning)
+        again = bmcp.parse_instance(text)
+    assert again == inst
+    assert bmcp.write_instance(again) == text
+
+
+@PROPERTY
+@given(st.data())
+def test_constructor_canonicalises_rows_property(data):
+    m, n = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+    rows = data.draw(raw_rows(m, n))
+    inst = bmcp.Instance(weights=[1] * m, profits=[1] * n, capacity=1, rows=rows)
+    expected = bmcp.Instance(
+        weights=[1] * m, profits=[1] * n, capacity=1,
+        rows=tuple(np.unique(np.asarray(r, dtype=np.int64)) for r in rows),
+    )
+    assert inst == expected
+    for row, want in zip(inst.rows, rows):
+        assert row.tolist() == sorted(set(want))
+        assert not row.flags.writeable
+    assert inst.indptr.tolist() == [0, *np.cumsum([len(set(r)) for r in rows])]
+
+
+def _bound_case(label, values):
+    """Instance data and text with ``values`` as the weights or profits."""
+    weights = values if label == "weight" else [1]
+    profits = values if label == "profit" else [1]
+    rows = tuple([0] for _ in weights)
+    text = (
+        f"BMCP 1\n{len(weights)} {len(profits)} 1\n"
+        + " ".join(map(str, weights)) + "\n"
+        + " ".join(map(str, profits)) + "\n"
+        + "1 1\n" * len(weights)
+    )
+    return dict(weights=weights, profits=profits, capacity=1, rows=rows), text
+
+
+@PROPERTY
+@given(st.sampled_from(["weight", "profit"]), split_total(MAX_TOTAL - 1))
+def test_totals_below_bound_accepted_property(label, values):
+    data, text = _bound_case(label, values)
+    inst = bmcp.Instance(**data)
+    assert int(getattr(inst, f"{label}s").sum()) == MAX_TOTAL - 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", InstanceWarning)
+        assert bmcp.parse_instance(text) == inst
+
+
+@PROPERTY
+@given(st.sampled_from(["weight", "profit"]), split_total(MAX_TOTAL))
+def test_totals_at_bound_rejected_property(label, values):
+    data, text = _bound_case(label, values)
+    with pytest.raises(ValueError, match=f"{label} total"):
+        bmcp.Instance(**data)
+    with pytest.raises(FormatError, match=f"{label} total") as err:
+        bmcp.parse_instance(text)
+    assert err.value.line == (3 if label == "weight" else 4)
