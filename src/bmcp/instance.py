@@ -22,6 +22,7 @@ memory.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -77,11 +78,8 @@ class Instance:
     indices: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        try:
-            weights = np.asarray(self.weights, dtype=np.int64)
-            profits = np.asarray(self.profits, dtype=np.int64)
-        except OverflowError:
-            raise ValueError("weight or profit does not fit in int64") from None
+        weights = _int64_array(self.weights, "weights")
+        profits = _int64_array(self.profits, "profits")
         if weights.ndim != 1 or weights.size == 0:
             raise ValueError("weights must be a nonempty 1-d array")
         if profits.ndim != 1 or profits.size == 0:
@@ -93,7 +91,11 @@ class Instance:
         for label, values in (("weight", weights), ("profit", profits)):
             if sum(values.tolist()) >= MAX_TOTAL:
                 raise ValueError(_total_message(label))
-        if int(self.capacity) < 0:
+        try:
+            capacity = operator.index(self.capacity)
+        except TypeError:
+            raise ValueError(f"capacity must be an integer, got {self.capacity!r}") from None
+        if capacity < 0:
             raise ValueError("negative capacity")
         if len(self.rows) != weights.size:
             raise ValueError(
@@ -104,7 +106,7 @@ class Instance:
             arr.flags.writeable = False
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "profits", profits)
-        object.__setattr__(self, "capacity", int(self.capacity))
+        object.__setattr__(self, "capacity", capacity)
         object.__setattr__(self, "rows", _row_views(indptr, indices))
         object.__setattr__(self, "indptr", indptr)
         object.__setattr__(self, "indices", indices)
@@ -135,6 +137,36 @@ class Instance:
         """Item of every entry of ``indices``, in CSR order."""
         return np.repeat(np.arange(self.m), np.diff(self.indptr))
 
+    @cached_property
+    def csc(self) -> tuple[np.ndarray, np.ndarray]:
+        """Column form ``(colptr, colitems)`` of the incidence, read-only.
+
+        Element j is covered by the items ``colitems[colptr[j]:colptr[j + 1]]``,
+        in ascending order.
+        """
+        colptr = _indptr(np.bincount(self.indices, minlength=self.n))
+        colitems = self.incidence_items[np.argsort(self.indices, kind="stable")]
+        for arr in (colptr, colitems):
+            arr.flags.writeable = False
+        return colptr, colitems
+
+    @cached_property
+    def scan_addresses(self) -> tuple[int, ...]:
+        """Addresses of ``indptr``, ``indices``, the two ``csc`` arrays,
+        ``profits`` and ``weights``, for the compiled move scan.
+
+        Each is a contiguous int64 array the instance holds for its lifetime.
+        """
+        arrays = (self.indptr, self.indices, *self.csc, self.profits, self.weights)
+        return tuple(arr.ctypes.data for arr in arrays)
+
+    def __getstate__(self):
+        # Addresses hold only for these arrays in this process: a pickled or
+        # deep-copied instance takes its own on first use.
+        state = self.__dict__.copy()
+        state.pop("scan_addresses", None)
+        return state
+
     def __eq__(self, other) -> bool:
         """Data equality; the name label is ignored."""
         if not isinstance(other, Instance):
@@ -150,9 +182,31 @@ class Instance:
     __hash__ = None
 
 
+def _int64_array(values, label: str) -> np.ndarray:
+    """Contiguous int64 array of integer ``values``; ValueError otherwise.
+
+    A plain cast would truncate floats and bools and wrap large unsigned
+    values without a word.
+    """
+    arr = np.asarray(values)
+    if arr.size and (
+        arr.dtype.kind not in "iu"
+        or (arr.dtype.kind == "u" and arr.max() > np.iinfo(np.int64).max)
+    ):
+        raise ValueError(f"{label} must be integers that fit in int64, got {arr.dtype}")
+    return np.ascontiguousarray(arr, dtype=np.int64)
+
+
 def _canonical_csr(rows, n: int) -> tuple[np.ndarray, np.ndarray]:
     """CSR pair of ``rows`` with each row sorted and unique; range-checked."""
-    arrays = [np.asarray(row, dtype=np.int64).ravel() for row in rows]
+    arrays = []
+    for i, row in enumerate(rows):
+        arr = np.asarray(row)
+        # An empty row reads as float64; a value beyond int64 wraps to a
+        # negative index, which the range check rejects.
+        if arr.size and arr.dtype.kind not in "iu":
+            raise ValueError(f"item {i}: element indices must be integers, got {arr.dtype}")
+        arrays.append(arr.astype(np.int64, copy=False).ravel())
     indptr = _indptr([a.size for a in arrays])
     indices = np.concatenate(arrays)
     bad = (indices < 0) | (indices >= n)

@@ -8,9 +8,12 @@ a tabu move is still admitted when it would beat the best objective seen
 so far in the phase (aspiration). Exact ties in the integer move deltas
 are broken uniformly at random.
 
-Every move delta is computed in int64 from the instance's CSR incidence
-matrix, with no float step: flip gains and losses are two matvecs, and the
-swap correction is an integer scatter over the uniquely covered elements.
+Every move delta is computed in int64 from the instance's incidence, with
+no float step. Each pick is one pass of the compiled scan in ``_scan.c``
+when :mod:`bmcp._native` could load it; otherwise the numpy scan runs, in
+which flip gains and losses are two CSR matvecs and the swap correction is
+an integer scatter over the uniquely covered elements. Both return the
+same tie set, so the same ``rng`` draws pick the same move.
 :data:`bmcp.instance.MAX_TOTAL` bounds the instance totals so that no
 intermediate can overflow.
 """
@@ -23,8 +26,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import _native
 from .errors import ConfigError
-from .instance import Instance
+from .instance import MAX_TOTAL, Instance
 from .state import Flip, Move, SearchState, Swap
 
 if TYPE_CHECKING:
@@ -145,18 +149,17 @@ def _swap_deltas(
     return gain[unsel_idx][None, :] - loss[sel_idx][:, None] + corr
 
 
-def select_move(
-    state: SearchState,
-    tabu: TabuList,
-    best_so_far: int,
-    rng: np.random.Generator,
-) -> Move | None:
-    """Best admissible move at the tabu list's current iteration, or None.
+def _numpy_candidates(
+    state: SearchState, tabu: TabuList, threshold: int, swaps_only: bool
+) -> tuple[np.ndarray, int]:
+    """Every admissible candidate at the best delta, ascending, and that delta.
 
-    Admissible: feasible and either non-tabu or past the aspiration bar.
-    The best may worsen the objective; ties break uniformly via ``rng``
-    over the candidates in order: flip-ins, flip-outs, then swaps by
-    (leaving, entering) item.
+    Candidates are numbered flip-ins by unselected rank (0..u-1), flip-outs
+    by selected rank (u..u+s-1), then swaps as u + s + i*u + j for the i-th
+    selected and the j-th unselected item. Admissible: feasible and either
+    non-tabu or past the aspiration bar, ``delta > threshold``. With
+    ``swaps_only`` the flips are not candidates. This numpy scan is the
+    reference for the compiled one and runs when none is loaded.
     """
     inst = state.instance
     weights = inst.weights
@@ -167,22 +170,17 @@ def select_move(
     tabu_now = tabu.mask()
     free_sel = ~tabu_now[sel_idx]
     free_unsel = ~tabu_now[unsel_idx]
-    # Aspiration: a tabu move is admissible when its delta pushes the
-    # objective strictly past the phase best.
-    threshold = best_so_far - state.objective
 
-    deltas = []
-    admissible = []
-    if unsel_idx.size:
-        d = gain[unsel_idx]
-        deltas.append(d)
-        admissible.append(
-            (weights[unsel_idx] <= headroom) & (free_unsel | (d > threshold))
-        )
-    if sel_idx.size:
-        d = -loss[sel_idx]
-        deltas.append(d)
-        admissible.append(free_sel | (d > threshold))
+    if swaps_only:
+        deltas = [np.zeros(inst.m, dtype=np.int64)]
+        admissible = [np.zeros(inst.m, dtype=bool)]
+    else:
+        d_in, d_out = gain[unsel_idx], -loss[sel_idx]
+        deltas = [d_in, d_out]
+        admissible = [
+            (weights[unsel_idx] <= headroom) & (free_unsel | (d_in > threshold)),
+            free_sel | (d_out > threshold),
+        ]
     if sel_idx.size and unsel_idx.size:
         d = _swap_deltas(state, sel_idx, unsel_idx, gain, loss)
         dw = weights[unsel_idx][None, :] - weights[sel_idx][:, None]
@@ -195,20 +193,85 @@ def select_move(
     flat_d = np.concatenate(deltas)
     flat_ok = np.concatenate(admissible)
     if not flat_ok.any():
-        return None
+        return np.flatnonzero(flat_ok), 0
     best = flat_d[flat_ok].max()
-    ties = np.flatnonzero(flat_ok & (flat_d == best))
-    pick = int(ties[0] if ties.size == 1 else ties[rng.integers(ties.size)])
+    return np.flatnonzero(flat_ok & (flat_d == best)), int(best)
 
+
+def _compiled_candidates(
+    kernel, state: SearchState, tabu: TabuList, threshold: int, swaps_only: bool
+) -> tuple[np.ndarray, int]:
+    """:func:`_numpy_candidates` in one pass of the compiled ``kernel``."""
+    inst = state.instance
+    sel, cov, expiry = state.selection, state.coverage, tabu.expiry
+    # The kernel reads raw buffers, so their types and sizes are checked.
+    for arr, dtype, size in (
+        (sel, np.bool_, inst.m), (cov, np.int64, inst.n), (expiry, np.int64, inst.m)
+    ):
+        if arr.dtype != dtype or arr.size != size or not arr.flags.c_contiguous:
+            raise ValueError(
+                f"scan input {arr.dtype} {arr.shape} is not contiguous {dtype} ({size},)"
+            )
+    # ctypes wraps ints to int64 silently. No weight difference or delta
+    # reaches MAX_TOTAL, so clamping there changes no comparison.
+    headroom = min(inst.capacity - state.total_weight, MAX_TOTAL)
+    threshold = max(-MAX_TOTAL, min(threshold, MAX_TOTAL))
+    s = int(np.count_nonzero(sel))
+    # Three info words (s, u, best delta), then room for every candidate.
+    buf = np.empty(3 + inst.m + s * (inst.m - s), dtype=np.int64)
+    info = buf.ctypes.data
+    count = kernel(
+        inst.m, *inst.scan_addresses, sel.ctypes.data, cov.ctypes.data,
+        expiry.ctypes.data, tabu.iteration, headroom, threshold, swaps_only,
+        info + 24, info,
+    )
+    if count < 0:
+        raise MemoryError("move scan could not allocate its scratch space")
+    return buf[3 : 3 + count], int(buf[2])
+
+
+def _best_candidates(state, tabu, threshold, swaps_only):
+    """The compiled scan when it is loaded, else the numpy one."""
+    kernel = _native.kernel
+    if kernel is None:
+        return _numpy_candidates(state, tabu, threshold, swaps_only)
+    return _compiled_candidates(kernel, state, tabu, threshold, swaps_only)
+
+
+def _candidate_move(selection: np.ndarray, number: int) -> Move:
+    """The move a candidate number stands for in ``selection``."""
+    sel_idx = np.flatnonzero(selection)
+    unsel_idx = np.flatnonzero(~selection)
     n_in = unsel_idx.size
     n_out = sel_idx.size
-    if pick < n_in:
-        return Flip(int(unsel_idx[pick]))
-    pick -= n_in
-    if pick < n_out:
-        return Flip(int(sel_idx[pick]))
-    pick -= n_out
-    return Swap(int(sel_idx[pick // n_in]), int(unsel_idx[pick % n_in]))
+    if number < n_in:
+        return Flip(int(unsel_idx[number]))
+    number -= n_in
+    if number < n_out:
+        return Flip(int(sel_idx[number]))
+    number -= n_out
+    return Swap(int(sel_idx[number // n_in]), int(unsel_idx[number % n_in]))
+
+
+def select_move(
+    state: SearchState,
+    tabu: TabuList,
+    best_so_far: int,
+    rng: np.random.Generator,
+) -> Move | None:
+    """Best admissible move at the tabu list's current iteration, or None.
+
+    Admissible: feasible and either non-tabu or past the aspiration bar,
+    that is pushing the objective strictly past ``best_so_far``. The best
+    may worsen the objective; ties break uniformly via ``rng`` over the
+    candidates in order: flip-ins, flip-outs, then swaps by (leaving,
+    entering) item. One tie draws nothing.
+    """
+    ties, _ = _best_candidates(state, tabu, best_so_far - state.objective, False)
+    if not ties.size:
+        return None
+    pick = ties[0] if ties.size == 1 else ties[rng.integers(ties.size)]
+    return _candidate_move(state.selection, int(pick))
 
 
 def random_fill(
@@ -242,25 +305,17 @@ def random_fill(
 def descent_local_search(
     state: SearchState, rng: np.random.Generator
 ) -> SearchState:
-    """Apply best improving swaps until none exists; mutates and returns state."""
-    weights = state.instance.weights
+    """Apply best improving swaps until none exists; mutates and returns state.
+
+    Each step draws its tie-break from ``rng``, even with a single tie.
+    """
+    no_tabu = TabuList(state.instance.m, tenure=1)
     while True:
-        sel_idx = np.flatnonzero(state.selection)
-        unsel_idx = np.flatnonzero(~state.selection)
-        if not sel_idx.size or not unsel_idx.size:
+        ties, best = _best_candidates(state, no_tabu, 0, True)
+        if not ties.size or best <= 0:
             return state
-        gain, loss = _flip_deltas(state)
-        d = _swap_deltas(state, sel_idx, unsel_idx, gain, loss)
-        headroom = state.instance.capacity - state.total_weight
-        ok = (weights[unsel_idx][None, :] - weights[sel_idx][:, None]) <= headroom
-        if not ok.any():
-            return state
-        best = d[ok].max()
-        if best <= 0:
-            return state
-        ties = np.argwhere(ok & (d == best))
-        a, b = ties[rng.integers(len(ties))]
-        state.apply(Swap(int(sel_idx[a]), int(unsel_idx[b])))
+        pick = ties[rng.integers(ties.size)]
+        state.apply(_candidate_move(state.selection, int(pick)))
 
 
 def initial_solution(inst: Instance, rng: np.random.Generator) -> SearchState:

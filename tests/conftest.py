@@ -8,12 +8,14 @@ compare the fast paths against these.
 """
 
 import itertools
+import shutil
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 import bmcp
+from bmcp import _native
 
 TINY_TEXT = """\
 BMCP 1
@@ -29,6 +31,21 @@ BMCP 1
 @pytest.fixture
 def tiny():
     return bmcp.parse_instance(TINY_TEXT, name="tiny1")
+
+
+@pytest.fixture
+def numpy_scan(monkeypatch):
+    """Run the numpy move scan, as when no compiled kernel can be loaded."""
+    monkeypatch.setattr(_native, "kernel", None)
+
+
+@pytest.fixture
+def compiled_scan():
+    """The compiled move scan; skipped only where no C compiler exists."""
+    if shutil.which(_native._compiler()[0]) is None:
+        pytest.skip("no C compiler")
+    assert _native.kernel is not None, "a C compiler exists but _scan.c did not load"
+    return _native.kernel
 
 
 def make_instance(m, n, density, capacity_fraction, seed):

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import warnings
 
 import numpy as np
@@ -120,6 +122,25 @@ def test_constructor_bounds_totals():
             )
 
 
+@pytest.mark.parametrize(
+    "field,kwargs",
+    [
+        ("weights", dict(weights=[1.5, 2.7])),
+        ("weights", dict(weights=np.array([True, True]))),
+        ("profits", dict(profits=[3.9])),
+        ("capacity", dict(capacity=1.9)),
+        ("item 0", dict(rows=([0.9], [0]))),
+    ],
+    ids=["float_weights", "bool_weights", "float_profits", "float_capacity", "float_row"],
+)
+def test_constructor_rejects_non_integers(field, kwargs):
+    data = dict(weights=[1, 2], profits=[3], capacity=1, rows=([0], [0]))
+    with pytest.raises(ValueError, match=field):
+        bmcp.Instance(**{**data, **kwargs})
+    # An empty row reads as float64 and stays legal.
+    bmcp.Instance(**{**data, "rows": ([], [0])})
+
+
 def test_density(tiny):
     assert tiny.density == pytest.approx(6 / 9)
 
@@ -128,6 +149,14 @@ def test_incidence_matches_rows(tiny):
     dense = tiny.incidence.toarray()
     assert dense.tolist() == [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
     assert tiny.incidence.dtype == np.int64
+
+
+def test_copies_take_their_own_scan_addresses(tiny):
+    original = tiny.scan_addresses
+    for other in (pickle.loads(pickle.dumps(tiny)), copy.deepcopy(tiny)):
+        arrays = (other.indptr, other.indices, *other.csc, other.profits, other.weights)
+        assert other.scan_addresses == tuple(a.ctypes.data for a in arrays)
+        assert set(other.scan_addresses).isdisjoint(original)
 
 
 def test_arrays_read_only(tiny):

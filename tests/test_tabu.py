@@ -3,8 +3,14 @@ import pytest
 
 import bmcp
 from bmcp import ConfigError, Flip, SearchState, Swap, TabuList
-from bmcp.tabu import TsParams, _flip_deltas, _swap_deltas
-from conftest import flip_delta, make_instance, move_delta, swap_delta
+from bmcp.tabu import (
+    TsParams,
+    _compiled_candidates,
+    _flip_deltas,
+    _numpy_candidates,
+    _swap_deltas,
+)
+from conftest import TINY_TEXT, flip_delta, make_instance, move_delta, swap_delta
 
 
 def state_of(inst, items):
@@ -115,6 +121,11 @@ class TestSelectMove:
         assert delta.objective < 0
 
 
+@pytest.mark.usefixtures("numpy_scan")
+class TestSelectMoveNumpyScan(TestSelectMove):
+    """The same hand-checked picks on the numpy scan."""
+
+
 def test_random_fill_fills_everything_when_it_fits(tiny):
     roomy = bmcp.parse_instance(
         bmcp.write_instance(tiny).replace("3 3 10", "3 3 15")
@@ -161,6 +172,13 @@ def test_descent_output_has_no_improving_swap():
         for in_item in np.flatnonzero(~state.selection):
             delta = swap_delta(state, int(out_item), int(in_item))
             assert not (delta.feasible and delta.objective > 0)
+
+
+@pytest.mark.usefixtures("numpy_scan")
+def test_descent_checks_on_numpy_scan(tiny):
+    test_descent_reaches_swap_local_optimum(tiny)
+    test_descent_fixpoint(tiny)
+    test_descent_output_has_no_improving_swap()
 
 
 def test_tabu_search_finds_tiny_optimum(tiny):
@@ -275,6 +293,80 @@ def test_evaluator_matches_scalar_reference(build):
         for r, a in enumerate(sel_idx):
             for c, b in enumerate(unsel_idx):
                 assert swaps[r, c] == swap_delta(state, int(a), int(b)).objective
+
+
+def _tabu(m, expiry, iteration):
+    tabu = TabuList(m, 1)
+    tabu.expiry[:], tabu.iteration = expiry, iteration
+    return tabu
+
+
+def _random_cases(inst):
+    """(state, tabu list, best so far) on random feasible states."""
+    rng = np.random.default_rng(31)
+    for _ in range(25):
+        sel = bmcp.random_fill(inst, rng)
+        sel &= rng.random(inst.m) < 0.8
+        state = SearchState.from_selection(inst, sel)
+        expiry = rng.integers(0, 8, size=inst.m) * (rng.random(inst.m) < 0.3)
+        tabu = _tabu(inst.m, expiry, int(rng.integers(1, 6)))
+        for slack in (-3, 0, 3, 10**6):
+            yield state, tabu, state.objective + slack
+
+
+def _edge_cases():
+    """Named (state, tabu list, best so far, tie set) cases on the tiny
+    fixture; ties are candidate numbers (flip-ins, flip-outs, swaps)."""
+    tiny = bmcp.parse_instance(TINY_TEXT)
+    roomy = bmcp.parse_instance(TINY_TEXT.replace("3 3 10", "3 3 15"))
+    # Headroom and threshold beyond int64, which must not wrap.
+    vast = bmcp.parse_instance(TINY_TEXT.replace("3 3 10", f"3 3 {2**64 + 3}"))
+    free = np.zeros(3, dtype=np.int64)
+    return {
+        "s=0": (state_of(tiny, []), _tabu(3, free, 1), 0, [0]),
+        "u=0": (state_of(roomy, [0, 1, 2]), _tabu(3, free, 1), 12, [0, 1, 2]),
+        "none admissible": (state_of(tiny, [0]), _tabu(3, [5, 5, 5], 2), 13, []),
+        "two ties": (state_of(tiny, [0]), _tabu(3, free, 1), 10, [0, 1]),
+        # Flip-in 0 is the tabu item 1, admitted by aspiration.
+        "aspiration": (state_of(tiny, [0]), _tabu(3, [0, 5, 0], 2), 11, [0, 1]),
+        "vast capacity": (state_of(vast, [0]), _tabu(3, free, 1), 10, [0, 1]),
+        "far best": (state_of(tiny, [0]), _tabu(3, [0, 5, 0], 2), 2**64 + 10, [1]),
+    }
+
+
+@pytest.mark.parametrize(
+    "cases",
+    [
+        lambda: _random_cases(make_instance(40, 50, 0.1, 0.4, seed=15)),
+        lambda: _random_cases(_instance_with_gaps()),
+        lambda: _random_cases(_instance_near_2_58()),
+        lambda: [case[:3] for case in _edge_cases().values()],
+    ],
+    ids=["generated", "gaps", "near_2_58", "edges"],
+)
+def test_compiled_scan_matches_numpy(cases, compiled_scan, monkeypatch):
+    for state, tabu, best_so_far in cases():
+        threshold = best_so_far - state.objective
+        for swaps_only in (False, True):
+            want = _numpy_candidates(state, tabu, threshold, swaps_only)
+            got = _compiled_candidates(compiled_scan, state, tabu, threshold, swaps_only)
+            assert got[0].tolist() == want[0].tolist()
+            if want[0].size:
+                assert got[1] == want[1]
+        picks = []
+        for kernel in (compiled_scan, None):
+            monkeypatch.setattr(bmcp._native, "kernel", kernel)
+            rng = np.random.default_rng(tabu.iteration)
+            move = bmcp.select_move(state, tabu, best_so_far, rng)
+            descended = bmcp.descent_local_search(state.copy(), rng)
+            picks.append((move, descended.selection.tolist(), rng.bit_generator.state))
+        assert picks[0] == picks[1]
+
+
+def test_edge_cases_have_the_named_tie_sets():
+    for name, (state, tabu, best_so_far, ties) in _edge_cases().items():
+        got, _ = _numpy_candidates(state, tabu, best_so_far - state.objective, False)
+        assert got.tolist() == ties, name
 
 
 def test_tabu_search_respects_deadline():
