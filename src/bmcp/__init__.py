@@ -23,7 +23,7 @@ from .learning import (
     probability_perturbation,
     random_perturbation,
 )
-from .lpexport import LpModel, export_lp
+from .lpexport import export_lp
 from .solver import (
     BatchSummary,
     RunResult,

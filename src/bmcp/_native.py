@@ -57,6 +57,8 @@ def _compile(cc: list[str], target: Path) -> None:
 def _open(path: Path):
     fn = ctypes.CDLL(str(path)).bmcp_scan
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    # m; the instance's 6 arrays, selection, coverage, expiry; iteration,
+    # headroom, threshold, swaps_only; the candidate and best-delta outputs.
     fn.argtypes = [i64, *[ptr] * 9, i64, i64, i64, i64, ptr, ptr]
     fn.restype = i64
     return fn

@@ -6,7 +6,7 @@
  * admissible candidate whose delta equals the best admissible delta is
  * written to `out` in ascending order, and their count is returned: 0 when
  * nothing is admissible, -1 when scratch memory could not be allocated.
- * `info` receives s, u and the best delta.
+ * `best_delta` receives that best delta.
  *
  * All arithmetic is int64. Weight and profit totals stay below 2^62, so
  * gain + correction (disjoint element sets) stays below 2^62 and every
@@ -24,7 +24,7 @@ int64_t bmcp_scan(
     const uint8_t *selection, const int64_t *coverage,
     const int64_t *expiry, int64_t iteration,
     int64_t headroom, int64_t threshold, int64_t swaps_only,
-    int64_t *out, int64_t *info)
+    int64_t *out, int64_t *best_delta)
 {
     /* rank: unselected rank of an unselected item; u (a dump slot of the
      * correction row) for a selected one. value: gain of flipping an
@@ -108,8 +108,6 @@ int64_t bmcp_scan(
 #undef CONSIDER
 
     free(scratch);
-    info[0] = s;
-    info[1] = u;
-    info[2] = best;
+    *best_delta = best;
     return count;
 }

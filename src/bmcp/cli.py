@@ -23,12 +23,9 @@ from .errors import ConfigError, FormatError, InfeasibleError
 from .exact import exact_optimum
 from .instance import (
     GeneratorSpec,
-    Instance,
     generate_instance,
     load_instance,
     save_instance,
-    selection_from_items,
-    total_weight,
 )
 from .lpexport import export_lp
 from .solver import BatchSummary, SolverConfig, batch, summarize
@@ -44,6 +41,9 @@ def format_row(
     summary: BatchSummary,
     p_value: float | None = None,
 ) -> str:
+    if any(c in instance_name for c in ',"\r\n'):
+        # RFC 4180 quoting; every other name is written as it is.
+        instance_name = '"' + instance_name.replace('"', '""') + '"'
     row = (
         f"{instance_name},{policy},{runs},{summary.f_best},"
         f"{summary.f_avg:.2f},{summary.std:.2f},{summary.t_avg:.3f}"
@@ -57,26 +57,6 @@ def write_solution(path, instance_name: str, selection: np.ndarray) -> None:
     items = " ".join(str(int(i) + 1) for i in np.flatnonzero(selection))
     line = f"{instance_name} {items}".rstrip()
     Path(path).write_text(line + "\n")
-
-
-def read_solution(path, inst: Instance) -> np.ndarray:
-    """Parse a solution file and re-validate it against the instance."""
-    tokens = Path(path).read_text().split()
-    if not tokens:
-        raise FormatError("empty solution file", 1)
-    items = []
-    for tok in tokens[1:]:
-        try:
-            item = int(tok)
-        except ValueError:
-            raise FormatError(f"invalid integer {tok!r}", 1) from None
-        if not 1 <= item <= inst.m:
-            raise FormatError(f"item index {item} out of 1..{inst.m}", 1)
-        items.append(item - 1)
-    sel = selection_from_items(inst.m, items)
-    if total_weight(inst, sel) > inst.capacity:
-        raise InfeasibleError("solution exceeds capacity")
-    return sel
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -139,19 +119,6 @@ def _cmd_generate(args) -> int:
     path = Path(args.out_dir) / f"{inst.name}.bmcp"
     save_instance(inst, path)
     print(path)
-    return 0
-
-
-def _cmd_solve(args) -> int:
-    inst = load_instance(args.instance)
-    cfg = _config_from(args)
-    results = batch(inst, cfg, runs=1)
-    text = "\n".join(
-        [CSV_HEADER, format_row(inst.name, cfg.perturbation, 1, summarize(results))]
-    )
-    _emit(text, args.output)
-    solution_path = args.solution or f"{Path(args.instance).stem}.sol"
-    write_solution(solution_path, inst.name, results[0].best_selection)
     return 0
 
 
@@ -241,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_solver_flags(solve_p)
     solve_p.add_argument("--output", default=None, help="CSV path (default stdout)")
     solve_p.add_argument("--solution", default=None, help="solution file path")
-    solve_p.set_defaults(func=_cmd_solve)
+    solve_p.set_defaults(func=_cmd_batch, runs=1, workers=1)
 
     batch_p = commands.add_parser("batch", help="independent runs, summarized CSV")
     batch_p.add_argument("--instance", required=True)

@@ -17,7 +17,7 @@ The text format, one instance per file::
     k e_1 ... e_k      (m of these rows, element indices 1-based ascending)
 
 Element and item indices are 1-based in files and 0-based everywhere in
-memory.
+memory. Files are ASCII; :func:`load_instance` rejects any other byte.
 """
 
 from __future__ import annotations
@@ -142,7 +142,8 @@ class Instance:
         """Column form ``(colptr, colitems)`` of the incidence, read-only.
 
         Element j is covered by the items ``colitems[colptr[j]:colptr[j + 1]]``,
-        in ascending order.
+        in ascending order. The compiled move scan and
+        :func:`bmcp.lpexport.export_lp` read it.
         """
         colptr = _indptr(np.bincount(self.indices, minlength=self.n))
         colitems = self.incidence_items[np.argsort(self.indices, kind="stable")]
@@ -437,11 +438,21 @@ def _check_row(line: str, lineno: int, n: int) -> None:
 
 
 def load_instance(path) -> Instance:
-    """Read an instance file; the name defaults to the file stem."""
+    """Read an instance file; the name defaults to the file stem.
+
+    The format holds only ASCII, so the bytes are decoded as ASCII whatever
+    the locale, and any other byte is a :class:`FormatError` on its line.
+    """
     from pathlib import Path
 
     path = Path(path)
-    return parse_instance(path.read_text(), name=path.stem)
+    data = path.read_bytes()
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise FormatError(f"non-ASCII byte 0x{data[exc.start]:02x}", line) from None
+    return parse_instance(text, name=path.stem)
 
 
 def write_instance(inst: Instance) -> str:

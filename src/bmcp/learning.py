@@ -51,19 +51,11 @@ class ProbabilityVector:
         """All probabilities start at the indifferent 0.50."""
         return cls(np.full(item_count, 0.5), reward_factor, punish_factor)
 
-    def __len__(self) -> int:
-        return self.probs.size
-
     def reward(self, item: int) -> None:
         self.probs[item] = self.reward_factor + (1.0 - self.reward_factor) * self.probs[item]
 
     def punish(self, item: int) -> None:
         self.probs[item] = (1.0 - self.punish_factor) * self.probs[item]
-
-    def copy(self) -> "ProbabilityVector":
-        return ProbabilityVector(
-            self.probs.copy(), self.reward_factor, self.punish_factor
-        )
 
 
 def probability_perturbation(

@@ -12,53 +12,10 @@ CPLEX-LP readers (and the bundled brute-force checker in the tests).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .instance import Instance
 
 _TERMS_PER_LINE = 8
 _NAMES_PER_LINE = 12
-
-
-@dataclass(frozen=True)
-class LpModel:
-    """Structured form of the program; render() produces the text."""
-
-    profits: tuple[int, ...]
-    weights: tuple[int, ...]
-    capacity: int
-    covering_items: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def from_instance(cls, inst: Instance) -> "LpModel":
-        columns: list[list[int]] = [[] for _ in range(inst.n)]
-        for i, row in enumerate(inst.rows):
-            for j in row:
-                columns[int(j)].append(i)
-        return cls(
-            profits=tuple(int(p) for p in inst.profits),
-            weights=tuple(int(w) for w in inst.weights),
-            capacity=inst.capacity,
-            covering_items=tuple(tuple(c) for c in columns),
-        )
-
-    def render(self) -> str:
-        lines = ["Maximize"]
-        obj_terms = [f"{p} x{j + 1}" for j, p in enumerate(self.profits)]
-        lines.extend(_wrap_sum("obj", obj_terms))
-        lines.append("Subject To")
-        cap_terms = [f"{w} y{i + 1}" for i, w in enumerate(self.weights)]
-        lines.extend(_wrap_sum("capacity", cap_terms, bound=f"<= {self.capacity}"))
-        for j, items in enumerate(self.covering_items):
-            terms = [f"x{j + 1}"] + [f"- y{i + 1}" for i in items]
-            lines.extend(_wrap_row(f"cover_{j + 1}", terms, "<= 0"))
-        lines.append("Binary")
-        names = [f"y{i + 1}" for i in range(len(self.weights))]
-        names += [f"x{j + 1}" for j in range(len(self.profits))]
-        for k in range(0, len(names), _NAMES_PER_LINE):
-            lines.append(" " + " ".join(names[k : k + _NAMES_PER_LINE]))
-        lines.append("End")
-        return "\n".join(lines) + "\n"
 
 
 def _wrap_sum(name: str, terms: list[str], bound: str | None = None) -> list[str]:
@@ -82,4 +39,23 @@ def _wrap_row(name: str, terms: list[str], bound: str) -> list[str]:
 
 
 def export_lp(inst: Instance) -> str:
-    return LpModel.from_instance(inst).render()
+    """The program of ``inst`` as LP text, rendered from its arrays and ``csc``."""
+    colptr, colitems = inst.csc
+    bounds = colptr.tolist()
+    covering = (colitems + 1).tolist()
+    lines = ["Maximize"]
+    obj_terms = [f"{p} x{j + 1}" for j, p in enumerate(inst.profits.tolist())]
+    lines.extend(_wrap_sum("obj", obj_terms))
+    lines.append("Subject To")
+    cap_terms = [f"{w} y{i + 1}" for i, w in enumerate(inst.weights.tolist())]
+    lines.extend(_wrap_sum("capacity", cap_terms, bound=f"<= {inst.capacity}"))
+    for j in range(inst.n):
+        terms = [f"x{j + 1}"] + [f"- y{i}" for i in covering[bounds[j] : bounds[j + 1]]]
+        lines.extend(_wrap_row(f"cover_{j + 1}", terms, "<= 0"))
+    lines.append("Binary")
+    names = [f"y{i + 1}" for i in range(inst.m)]
+    names += [f"x{j + 1}" for j in range(inst.n)]
+    for k in range(0, len(names), _NAMES_PER_LINE):
+        lines.append(" " + " ".join(names[k : k + _NAMES_PER_LINE]))
+    lines.append("End")
+    return "\n".join(lines) + "\n"

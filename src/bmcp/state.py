@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InfeasibleError
 from .instance import Instance, as_selection, coverage_counts
 
@@ -63,10 +61,6 @@ class SearchState:
         objective = int(instance.profits[coverage > 0].sum())
         return cls(instance, sel, coverage, weight, objective)
 
-    @classmethod
-    def empty(cls, instance: Instance) -> "SearchState":
-        return cls.from_selection(instance, np.zeros(instance.m, dtype=bool))
-
     def copy(self) -> "SearchState":
         return SearchState(
             self.instance,
@@ -75,10 +69,6 @@ class SearchState:
             self.total_weight,
             self.objective,
         )
-
-    @property
-    def selected_items(self) -> np.ndarray:
-        return np.flatnonzero(self.selection)
 
     def _flip_in(self, item: int) -> None:
         inst = self.instance

@@ -63,10 +63,6 @@ class TsParams:
         if self.tenure < 1:
             raise ConfigError("tenure must be positive")
 
-    @classmethod
-    def for_instance(cls, inst: Instance) -> "TsParams":
-        return cls(depth=tabu_depth(inst.m), tenure=tabu_tenure(inst.m, inst.n))
-
 
 class TabuList:
     """Per-item tabu expiry, advanced once per search iteration.
@@ -88,9 +84,6 @@ class TabuList:
 
     def mark(self, *items: int) -> None:
         self.expiry[list(items)] = self.iteration + self.tenure
-
-    def is_tabu(self, item: int) -> bool:
-        return bool(self.iteration <= self.expiry[item])
 
     def mask(self) -> np.ndarray:
         """Boolean vector of currently tabu items."""
@@ -217,17 +210,17 @@ def _compiled_candidates(
     headroom = min(inst.capacity - state.total_weight, MAX_TOTAL)
     threshold = max(-MAX_TOTAL, min(threshold, MAX_TOTAL))
     s = int(np.count_nonzero(sel))
-    # Three info words (s, u, best delta), then room for every candidate.
-    buf = np.empty(3 + inst.m + s * (inst.m - s), dtype=np.int64)
-    info = buf.ctypes.data
+    # The best delta, then room for every candidate.
+    buf = np.empty(1 + inst.m + s * (inst.m - s), dtype=np.int64)
+    best = buf.ctypes.data
     count = kernel(
         inst.m, *inst.scan_addresses, sel.ctypes.data, cov.ctypes.data,
         expiry.ctypes.data, tabu.iteration, headroom, threshold, swaps_only,
-        info + 24, info,
+        best + 8, best,
     )
     if count < 0:
         raise MemoryError("move scan could not allocate its scratch space")
-    return buf[3 : 3 + count], int(buf[2])
+    return buf[1 : 1 + count], int(buf[0])
 
 
 def _best_candidates(state, tabu, threshold, swaps_only):

@@ -34,7 +34,7 @@ from bmcp import (
     write_instance,
 )
 from bmcp.cli import format_row, main
-from bmcp.lpexport import LpModel
+from bmcp.lpexport import export_lp
 
 
 def report(num: int, label: str, ok: bool, detail: str = "") -> None:
@@ -264,7 +264,7 @@ def test_7_lp_export_fidelity():
         m = int(dims.integers(10, 16))
         n = int(dims.integers(12, 21))
         inst = make_instance(m, n, 0.2, 0.45, seed=520 + k)
-        text = LpModel.from_instance(inst).render()
+        text = export_lp(inst)
         agreements += solve_lp_text(text) == exact_optimum(inst)[0]
     elapsed = time.perf_counter() - started
     ok = agreements == 10 and elapsed < 30.0

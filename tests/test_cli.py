@@ -1,8 +1,11 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
 import bmcp
-from bmcp.cli import main, read_solution
+from bmcp.cli import format_row, main
 from conftest import TINY_TEXT
 
 
@@ -41,7 +44,9 @@ def test_solve_emits_csv_and_solution(tiny_file, tmp_path, capsys, monkeypatch):
     fields = out[1].split(",")
     assert fields[:6] == ["tiny1", "probability", "1", "12", "12.00", "0.00"]
     float(fields[6])
-    solution = read_solution(tmp_path / "tiny1.sol", bmcp.load_instance(tiny_file))
+    name, *items = (tmp_path / "tiny1.sol").read_text().split()
+    assert name == "tiny1"
+    solution = bmcp.selection_from_items(3, [int(i) - 1 for i in items])
     assert bmcp.full_objective(bmcp.load_instance(tiny_file), solution) == 12
 
 
@@ -212,19 +217,45 @@ def test_unknown_subcommand_exits_with_usage(capsys):
     assert "usage" in capsys.readouterr().err.lower()
 
 
-def test_solution_file_validation(tiny_file, tmp_path):
-    inst = bmcp.load_instance(tiny_file)
-    overweight = tmp_path / "bad.sol"
-    overweight.write_text("tiny1 2 3\n")
-    with pytest.raises(bmcp.InfeasibleError):
-        read_solution(overweight, inst)
-    empty = tmp_path / "empty.sol"
-    empty.write_text("")
-    with pytest.raises(bmcp.FormatError):
-        read_solution(empty, inst)
-    for line in ("tiny1 x", "tiny1 1.5", "tiny1 0", "tiny1 4"):
-        bad = tmp_path / "bad_token.sol"
-        bad.write_text(line + "\n")
-        with pytest.raises(bmcp.FormatError) as err:
-            read_solution(bad, inst)
-        assert err.value.line == 1
+def _cli_argv(command, path, tmp_path):
+    if command == "solve":
+        return ["solve", "--instance", str(path), "--rounds", "1",
+                "--solution", str(tmp_path / "out.sol")]
+    if command == "exact":
+        return ["exact", "--instance", str(path)]
+    return ["compare", str(path), "--runs", "1", "--rounds", "1"]
+
+
+@pytest.mark.parametrize(
+    "old,new,line",
+    [(b"2 2 3\n", b"2 2 3 \xff\n", 6), (b"4 5 6\n", "4 5 \uff16\n".encode(), 3)],
+    ids=["byte_0xff", "full_width_digit"],
+)
+@pytest.mark.parametrize("command", ["solve", "exact", "compare"])
+def test_non_ascii_file_is_one_line_parse_error(tmp_path, capsys, command, old, new, line):
+    path = tmp_path / "odd.bmcp"
+    path.write_bytes(TINY_TEXT.encode().replace(old, new))
+    assert main(_cli_argv(command, path, tmp_path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"parse error: line {line}: non-ASCII byte 0x")
+
+
+@pytest.mark.parametrize("command", ["solve", "compare"])
+def test_instance_name_with_comma_reads_back(tmp_path, capsys, command):
+    path = tmp_path / "a,b.bmcp"
+    path.write_text(TINY_TEXT)
+    assert main(_cli_argv(command, path, tmp_path)) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert rows and all(row["instance"] == "a,b" for row in rows)
+    assert all(row["policy"] in ("probability", "random") for row in rows)
+
+
+def test_format_row_quotes_only_names_that_need_it():
+    summary = bmcp.BatchSummary(f_best=12, f_avg=12.0, std=0.0, t_avg=0.0, runs=1)
+    assert format_row("tiny1", "random", 1, summary).startswith("tiny1,random,")
+    row = format_row('say "hi"\n', "random", 1, summary)
+    assert row.startswith('"say ""hi""\n",random,')
+    (parsed,) = csv.reader(io.StringIO(row))
+    assert parsed[0] == 'say "hi"\n'

@@ -8,7 +8,7 @@ from conftest import make_instance
 
 def test_initial_vector_is_indifferent():
     prob = ProbabilityVector.initial(7)
-    assert len(prob) == 7
+    assert prob.probs.size == 7
     assert (prob.probs == 0.5).all()
 
 
@@ -51,13 +51,6 @@ def test_updates_stay_in_open_interval():
             prob.punish(item)
         value = prob.probs[item]
         assert 0.0 < value < 1.0
-
-
-def test_copy_is_independent():
-    prob = ProbabilityVector.initial(3)
-    other = prob.copy()
-    prob.reward(1)
-    assert other.probs[1] == 0.5
 
 
 def state_of(inst, items):
@@ -141,6 +134,6 @@ def test_random_perturbation_refills_roomy_instance(tiny):
 
 
 def test_random_perturbation_empty_selection(tiny):
-    state = SearchState.empty(tiny)
+    state = SearchState.from_selection(tiny, np.zeros(tiny.m, dtype=bool))
     sel = bmcp.random_perturbation(state, np.random.default_rng(0))
     assert bmcp.total_weight(tiny, sel) <= tiny.capacity

@@ -19,7 +19,6 @@ End
 
 def test_tiny_rendering_is_canonical(tiny):
     assert bmcp.export_lp(tiny) == TINY_LP
-    assert bmcp.export_lp(tiny) == bmcp.LpModel.from_instance(tiny).render()
 
 
 def test_structure_counts():

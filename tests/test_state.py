@@ -17,7 +17,7 @@ def test_from_selection_builds_invariants(tiny):
     assert s.coverage.tolist() == [1, 2, 1]
     assert s.total_weight == 9
     assert s.objective == 12
-    assert s.selected_items.tolist() == [0, 1]
+    assert np.flatnonzero(s.selection).tolist() == [0, 1]
 
 
 def test_from_selection_rejects_overweight(tiny):
@@ -26,7 +26,7 @@ def test_from_selection_rejects_overweight(tiny):
 
 
 def test_empty_state(tiny):
-    s = SearchState.empty(tiny)
+    s = SearchState.from_selection(tiny, np.zeros(tiny.m, dtype=bool))
     assert s.objective == 0 and s.total_weight == 0
     assert not s.selection.any()
 
@@ -64,7 +64,7 @@ def test_apply_flip_and_swap(tiny):
     assert s.objective == 12 and s.total_weight == 9
     s.apply(Swap(1, 2))
     assert s.objective == 12 and s.total_weight == 10
-    assert s.selected_items.tolist() == [0, 2]
+    assert np.flatnonzero(s.selection).tolist() == [0, 2]
 
 
 def test_apply_infeasible_leaves_state_intact(tiny):
@@ -81,13 +81,13 @@ def test_copy_is_independent(tiny):
     s = state_of(tiny, [0])
     c = s.copy()
     s.apply(Flip(1))
-    assert c.objective == 10 and c.selected_items.tolist() == [0]
+    assert c.objective == 10 and np.flatnonzero(c.selection).tolist() == [0]
 
 
 def test_random_walk_matches_rebuild():
     inst = make_instance(30, 40, 0.12, 0.45, seed=3)
     rng = np.random.default_rng(17)
-    state = SearchState.empty(inst)
+    state = SearchState.from_selection(inst, np.zeros(inst.m, dtype=bool))
     applied = 0
     while applied < 400:
         if rng.random() < 0.6:

@@ -43,16 +43,16 @@ def test_params_validation():
 
 def test_tabu_window():
     tabu = TabuList(4, tenure=3)
-    assert not any(tabu.is_tabu(i) for i in range(4))
+    assert not tabu.mask().any()
     tabu.mark(2)
     marked_at = tabu.iteration
     for offset in (1, 2, 3):
         tabu.advance()
         assert tabu.iteration == marked_at + offset
-        assert tabu.is_tabu(2)
-        assert not tabu.is_tabu(0)
+        assert tabu.mask()[2]
+        assert not tabu.mask()[0]
     tabu.advance()
-    assert not tabu.is_tabu(2)
+    assert not tabu.mask()[2]
     assert tabu.mask().tolist() == [False] * 4
 
 
@@ -60,7 +60,7 @@ def test_mark_both_swap_items():
     tabu = TabuList(5, tenure=2)
     tabu.mark(1, 4)
     tabu.advance()
-    assert tabu.is_tabu(1) and tabu.is_tabu(4)
+    assert tabu.mask()[1] and tabu.mask()[4]
     assert tabu.mask().tolist() == [False, True, False, False, True]
 
 
@@ -155,13 +155,13 @@ def test_descent_reaches_swap_local_optimum(tiny):
     # {3} -> swap in item 1 (+5, the unique best); {1} admits no
     # improving swap, so descent stops there.
     state = bmcp.descent_local_search(state_of(tiny, [2]), np.random.default_rng(1))
-    assert state.selected_items.tolist() == [0]
+    assert np.flatnonzero(state.selection).tolist() == [0]
     assert state.objective == 10
 
 
 def test_descent_fixpoint(tiny):
     state = bmcp.descent_local_search(state_of(tiny, [0, 1]), np.random.default_rng(1))
-    assert state.selected_items.tolist() == [0, 1]
+    assert np.flatnonzero(state.selection).tolist() == [0, 1]
 
 
 def test_descent_output_has_no_improving_swap():
@@ -232,7 +232,7 @@ def test_tabu_search_halts_without_moves():
         rows=(np.array([0]),),
     )
     best, _ = bmcp.tabu_search(
-        SearchState.empty(inst),
+        SearchState.from_selection(inst, np.zeros(inst.m, dtype=bool)),
         bmcp.ProbabilityVector.initial(1),
         TsParams(depth=100, tenure=1),
         np.random.default_rng(0),
