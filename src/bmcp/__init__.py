@@ -1,7 +1,7 @@
 """Budgeted maximum coverage: instances, tabu search with probability
 learning, exact oracle, LP export, and batch statistics."""
 
-from .errors import ConfigError, FormatError, InfeasibleError
+from .errors import BuildError, ConfigError, FormatError, InfeasibleError
 from .exact import exact_optimum
 from .instance import (
     GeneratorSpec,

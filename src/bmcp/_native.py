@@ -1,12 +1,12 @@
 """Loader of the compiled move scan in ``_scan.c``.
 
-``kernel`` is the C function ``bmcp_scan`` once the library is loaded, or
-None when the numpy scan in :mod:`bmcp.tabu` is in use. The first read of
-``kernel`` decides: it builds ``_scan.c`` with the interpreter's C compiler
-(``sysconfig``'s ``CC``) into the package's ``__pycache__``, named after a
-hash of the source, the compiler command, the flags and the platform, so a
-later process loads the cached library without compiling. No compiler, a
-failed compile or a library that does not load all give None.
+``kernel`` is the C function ``bmcp_scan``, the only move scan of
+:mod:`bmcp.tabu`. The first read of ``kernel`` builds ``_scan.c`` with the
+interpreter's C compiler (``sysconfig``'s ``CC``) into the package's
+``__pycache__``, named after a hash of the source, the compiler command,
+the flags and the platform, so a later process loads the cached library
+without compiling. No compiler, a failed compile or a library that does not
+load raise :class:`bmcp.errors.BuildError`; the next read tries again.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ import subprocess
 import sysconfig
 import tempfile
 from pathlib import Path
+
+from .errors import BuildError
 
 SOURCE = Path(__file__).with_name("_scan.c")
 CACHE_DIR = SOURCE.parent / "__pycache__"
@@ -65,7 +67,8 @@ def _open(path: Path):
 
 
 def load():
-    """The compiled ``bmcp_scan``, built if needed, or None to use numpy."""
+    """The compiled ``bmcp_scan``, built if needed; :class:`BuildError` if not."""
+    cc = [sysconfig.get_config_var("CC") or "cc"]
     try:
         cc = _compiler()
         name = _library_name(cc)
@@ -77,10 +80,17 @@ def load():
                 return _load_private(cc, name)
             _compile(cc, cached)
         return _open(cached)
-    except (OSError, ValueError, subprocess.SubprocessError):
-        # No compiler, a failed build, a library that does not load, or a
-        # CC that does not parse.
-        return None
+    except (OSError, ValueError, subprocess.SubprocessError) as exc:
+        reason = str(exc)  # a library that does not load, or a CC that does not parse
+        if isinstance(exc, FileNotFoundError) and exc.filename == cc[0]:
+            reason = "not found"
+        elif isinstance(exc, subprocess.CalledProcessError):
+            first = exc.stderr.decode(errors="replace").strip().partition("\n")[0].rstrip()
+            reason = f"exit {exc.returncode}" + (f": {first}" if first else "")
+        elif isinstance(exc, subprocess.TimeoutExpired):
+            reason = f"timed out after {COMPILE_TIMEOUT_S} s"
+        shown = " ".join(cc)
+        raise BuildError(f"cannot build the move scan with '{shown}': {reason}") from exc
 
 
 def _load_private(cc: list[str], name: str):

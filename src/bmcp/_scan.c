@@ -1,11 +1,11 @@
 /* Exact best-move scan of the flip and swap neighbourhoods, one pass per pick.
  *
- * Candidates are numbered as in the numpy scan of tabu.py: flip-ins by
- * unselected rank 0..u-1, flip-outs by selected rank u..u+s-1, then the swap
- * of the i-th selected for the j-th unselected item as u+s+i*u+j. Every
- * admissible candidate whose delta equals the best admissible delta is
- * written to `out` in ascending order, and their count is returned: 0 when
- * nothing is admissible, -1 when scratch memory could not be allocated.
+ * Candidates are numbered flip-ins by unselected rank 0..u-1, flip-outs by
+ * selected rank u..u+s-1, then the swap of the i-th selected for the j-th
+ * unselected item as u+s+i*u+j. Every admissible candidate whose delta
+ * equals the best admissible delta is written to `out` in ascending order,
+ * and their count is returned: 0 when nothing is admissible, -1 when
+ * scratch memory could not be allocated.
  * `best_delta` receives that best delta.
  *
  * All arithmetic is int64. Weight and profit totals stay below 2^62, so

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, FormatError, InfeasibleError
+from .errors import BuildError, ConfigError, FormatError, InfeasibleError
 from .exact import exact_optimum
 from .instance import (
     GeneratorSpec,
@@ -247,6 +247,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except FormatError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
+    except BuildError as exc:
+        print(f"build error: {exc}", file=sys.stderr)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
     except InfeasibleError as exc:

@@ -21,3 +21,7 @@ class ConfigError(ValueError):
 
 class InfeasibleError(ValueError):
     """A selection or move would exceed the knapsack capacity."""
+
+
+class BuildError(RuntimeError):
+    """The compiled move scan could not be built or loaded."""

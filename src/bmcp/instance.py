@@ -39,6 +39,7 @@ HEADER = "BMCP 1"
 # Dense Bernoulli sampling in the generator; beyond this the index space is
 # rejected rather than silently thrashing memory.
 MAX_CELLS = 1 << 27
+_DRAW_CELLS = 1 << 20  # cells per rng.random call; chunking changes no bit
 
 # Weight and profit totals stay below this, so every sum the search forms
 # is exact in int64: a swap delta can reach twice the profit total.
@@ -301,7 +302,8 @@ def parse_instance(text: str, name: str = "") -> Instance:
     Empty coverage rows and elements covered by no item are legal but
     trigger an :class:`InstanceWarning`.
     """
-    lines = text.splitlines()
+    # Not splitlines(): it also breaks at \v, \f and \x1c-\x1e.
+    lines = text.removesuffix("\n").split("\n") if text else []
 
     def line_at(idx: int, what: str) -> tuple[str, int]:
         if idx >= len(lines):
@@ -533,7 +535,11 @@ def generate_instance(spec: GeneratorSpec) -> Instance:
     plo, phi = spec.profit_range
     weights = rng.integers(wlo, whi, size=spec.m, endpoint=True, dtype=np.int64)
     profits = rng.integers(plo, phi, size=spec.n, endpoint=True, dtype=np.int64)
-    cells = rng.random((spec.m, spec.n)) < spec.density
+    cells = np.empty((spec.m, spec.n), dtype=bool)
+    flat = cells.reshape(-1)
+    for start in range(0, flat.size, _DRAW_CELLS):
+        chunk = flat[start : start + _DRAW_CELLS]
+        np.less(rng.random(chunk.size), spec.density, out=chunk)
     for i in np.flatnonzero(~cells.any(axis=1)):
         cells[i, rng.integers(spec.n)] = True
     for j in np.flatnonzero(~cells.any(axis=0)):

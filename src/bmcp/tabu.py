@@ -9,11 +9,8 @@ so far in the phase (aspiration). Exact ties in the integer move deltas
 are broken uniformly at random.
 
 Every move delta is computed in int64 from the instance's incidence, with
-no float step. Each pick is one pass of the compiled scan in ``_scan.c``
-when :mod:`bmcp._native` could load it; otherwise the numpy scan runs, in
-which flip gains and losses are two CSR matvecs and the swap correction is
-an integer scatter over the uniquely covered elements. Both return the
-same tie set, so the same ``rng`` draws pick the same move.
+no float step. Each pick is one pass of the compiled scan in ``_scan.c``,
+which :mod:`bmcp._native` builds on first use.
 :data:`bmcp.instance.MAX_TOTAL` bounds the instance totals so that no
 intermediate can overflow.
 """
@@ -85,116 +82,17 @@ class TabuList:
     def mark(self, *items: int) -> None:
         self.expiry[list(items)] = self.iteration + self.tenure
 
-    def mask(self) -> np.ndarray:
-        """Boolean vector of currently tabu items."""
-        return self.expiry >= self.iteration
 
-
-def _flip_deltas(state: SearchState) -> tuple[np.ndarray, np.ndarray]:
-    """Per-item objective gain of flipping in and loss of flipping out.
-
-    ``gain`` is meaningful where the item is unselected, ``loss`` where it
-    is selected: one int64 matvec each, against the profits of uncovered
-    and of uniquely covered elements.
-    """
-    inst = state.instance
-    cov = state.coverage
-    gain = inst.incidence @ np.where(cov == 0, inst.profits, 0)
-    loss = inst.incidence @ np.where(cov == 1, inst.profits, 0)
-    return gain, loss
-
-
-def _swap_deltas(
-    state: SearchState,
-    sel_idx: np.ndarray,
-    unsel_idx: np.ndarray,
-    gain: np.ndarray,
-    loss: np.ndarray,
-) -> np.ndarray:
-    """Objective deltas for every (selected, unselected) exchange.
-
-    Swapping a out for b gains ``gain[b] - loss[a]`` plus the profit of
-    elements that a covers alone and b covers too: b keeps those covered.
-    Each uniquely covered element has exactly one selected owner, so the
-    correction is a scatter of its profit onto (owner, b) for every
-    unselected b covering it.
-    """
-    inst = state.instance
-    # Incidence entries (item, element) whose element is covered once.
-    hit = np.flatnonzero((state.coverage == 1)[inst.incidence.indices])
-    items = inst.incidence_items[hit]
-    elems = inst.incidence.indices[hit]
-    owned = state.selection[items]
-    owner = np.empty(inst.n, dtype=np.int64)
-    owner[elems[owned]] = items[owned]
-    entering, elems = items[~owned], elems[~owned]
-    rank = np.empty(inst.m, dtype=np.int64)
-    rank[sel_idx] = np.arange(sel_idx.size)
-    rank[unsel_idx] = np.arange(unsel_idx.size)
-    # Flat indices take numpy's fast path for integer scatter-add.
-    corr = np.zeros(sel_idx.size * unsel_idx.size, dtype=np.int64)
-    np.add.at(
-        corr,
-        rank[owner[elems]] * unsel_idx.size + rank[entering],
-        inst.profits[elems],
-    )
-    corr = corr.reshape(sel_idx.size, unsel_idx.size)
-    return gain[unsel_idx][None, :] - loss[sel_idx][:, None] + corr
-
-
-def _numpy_candidates(
+def _compiled_candidates(
     state: SearchState, tabu: TabuList, threshold: int, swaps_only: bool
 ) -> tuple[np.ndarray, int]:
     """Every admissible candidate at the best delta, ascending, and that delta.
 
-    Candidates are numbered flip-ins by unselected rank (0..u-1), flip-outs
-    by selected rank (u..u+s-1), then swaps as u + s + i*u + j for the i-th
-    selected and the j-th unselected item. Admissible: feasible and either
-    non-tabu or past the aspiration bar, ``delta > threshold``. With
-    ``swaps_only`` the flips are not candidates. This numpy scan is the
-    reference for the compiled one and runs when none is loaded.
+    One pass of :data:`bmcp._native.kernel`; ``_scan.c`` documents how the
+    candidates are numbered. Admissible: feasible and either non-tabu or
+    past the aspiration bar, ``delta > threshold``. ``swaps_only`` leaves
+    the flips out.
     """
-    inst = state.instance
-    weights = inst.weights
-    headroom = inst.capacity - state.total_weight
-    sel_idx = np.flatnonzero(state.selection)
-    unsel_idx = np.flatnonzero(~state.selection)
-    gain, loss = _flip_deltas(state)
-    tabu_now = tabu.mask()
-    free_sel = ~tabu_now[sel_idx]
-    free_unsel = ~tabu_now[unsel_idx]
-
-    if swaps_only:
-        deltas = [np.zeros(inst.m, dtype=np.int64)]
-        admissible = [np.zeros(inst.m, dtype=bool)]
-    else:
-        d_in, d_out = gain[unsel_idx], -loss[sel_idx]
-        deltas = [d_in, d_out]
-        admissible = [
-            (weights[unsel_idx] <= headroom) & (free_unsel | (d_in > threshold)),
-            free_sel | (d_out > threshold),
-        ]
-    if sel_idx.size and unsel_idx.size:
-        d = _swap_deltas(state, sel_idx, unsel_idx, gain, loss)
-        dw = weights[unsel_idx][None, :] - weights[sel_idx][:, None]
-        ok = (dw <= headroom) & (
-            (free_sel[:, None] & free_unsel[None, :]) | (d > threshold)
-        )
-        deltas.append(d.ravel())
-        admissible.append(ok.ravel())
-
-    flat_d = np.concatenate(deltas)
-    flat_ok = np.concatenate(admissible)
-    if not flat_ok.any():
-        return np.flatnonzero(flat_ok), 0
-    best = flat_d[flat_ok].max()
-    return np.flatnonzero(flat_ok & (flat_d == best)), int(best)
-
-
-def _compiled_candidates(
-    kernel, state: SearchState, tabu: TabuList, threshold: int, swaps_only: bool
-) -> tuple[np.ndarray, int]:
-    """:func:`_numpy_candidates` in one pass of the compiled ``kernel``."""
     inst = state.instance
     sel, cov, expiry = state.selection, state.coverage, tabu.expiry
     # The kernel reads raw buffers, so their types and sizes are checked.
@@ -213,7 +111,7 @@ def _compiled_candidates(
     # The best delta, then room for every candidate.
     buf = np.empty(1 + inst.m + s * (inst.m - s), dtype=np.int64)
     best = buf.ctypes.data
-    count = kernel(
+    count = _native.kernel(
         inst.m, *inst.scan_addresses, sel.ctypes.data, cov.ctypes.data,
         expiry.ctypes.data, tabu.iteration, headroom, threshold, swaps_only,
         best + 8, best,
@@ -221,14 +119,6 @@ def _compiled_candidates(
     if count < 0:
         raise MemoryError("move scan could not allocate its scratch space")
     return buf[1 : 1 + count], int(buf[0])
-
-
-def _best_candidates(state, tabu, threshold, swaps_only):
-    """The compiled scan when it is loaded, else the numpy one."""
-    kernel = _native.kernel
-    if kernel is None:
-        return _numpy_candidates(state, tabu, threshold, swaps_only)
-    return _compiled_candidates(kernel, state, tabu, threshold, swaps_only)
 
 
 def _candidate_move(selection: np.ndarray, number: int) -> Move:
@@ -260,7 +150,7 @@ def select_move(
     candidates in order: flip-ins, flip-outs, then swaps by (leaving,
     entering) item. One tie draws nothing.
     """
-    ties, _ = _best_candidates(state, tabu, best_so_far - state.objective, False)
+    ties, _ = _compiled_candidates(state, tabu, best_so_far - state.objective, False)
     if not ties.size:
         return None
     pick = ties[0] if ties.size == 1 else ties[rng.integers(ties.size)]
@@ -304,7 +194,7 @@ def descent_local_search(
     """
     no_tabu = TabuList(state.instance.m, tenure=1)
     while True:
-        ties, best = _best_candidates(state, no_tabu, 0, True)
+        ties, best = _compiled_candidates(state, no_tabu, 0, True)
         if not ties.size or best <= 0:
             return state
         pick = ties[rng.integers(ties.size)]

@@ -8,14 +8,12 @@ compare the fast paths against these.
 """
 
 import itertools
-import shutil
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 import bmcp
-from bmcp import _native
 
 TINY_TEXT = """\
 BMCP 1
@@ -31,21 +29,6 @@ BMCP 1
 @pytest.fixture
 def tiny():
     return bmcp.parse_instance(TINY_TEXT, name="tiny1")
-
-
-@pytest.fixture
-def numpy_scan(monkeypatch):
-    """Run the numpy move scan, as when no compiled kernel can be loaded."""
-    monkeypatch.setattr(_native, "kernel", None)
-
-
-@pytest.fixture
-def compiled_scan():
-    """The compiled move scan; skipped only where no C compiler exists."""
-    if shutil.which(_native._compiler()[0]) is None:
-        pytest.skip("no C compiler")
-    assert _native.kernel is not None, "a C compiler exists but _scan.c did not load"
-    return _native.kernel
 
 
 def make_instance(m, n, density, capacity_fraction, seed):
@@ -116,6 +99,52 @@ def move_delta(state, move):
     if isinstance(move, bmcp.Flip):
         return flip_delta(state, move.item)
     return swap_delta(state, move.out_item, move.in_item)
+
+
+def tabu_items(tabu):
+    """Boolean vector of the items tabu at the list's current iteration."""
+    return tabu.expiry >= tabu.iteration
+
+
+def reference_moves(state):
+    """Every flip and swap of ``state`` in the scan's candidate order:
+    flip-ins, flip-outs, then swaps by (leaving, entering) item."""
+    sel = np.flatnonzero(state.selection).tolist()
+    unsel = np.flatnonzero(~state.selection).tolist()
+    return (
+        [bmcp.Flip(b) for b in unsel]
+        + [bmcp.Flip(a) for a in sel]
+        + [bmcp.Swap(a, b) for a in sel for b in unsel]
+    )
+
+
+def reference_candidates(state, tabu, thresholds):
+    """The move scan's answer, from the scalar deltas, for each threshold.
+
+    Maps (threshold, swaps_only) to the admissible candidate numbers at the
+    best delta, ascending, and that delta (None when there is none).
+    Admissible: feasible, and either every touched item free or
+    ``delta > threshold``. Each move's delta is computed once.
+    """
+    tabu_now = tabu_items(tabu)
+    scored = []
+    for move in reference_moves(state):
+        delta = move_delta(state, move)
+        swap = isinstance(move, bmcp.Swap)
+        touched = (move.out_item, move.in_item) if swap else (move.item,)
+        free = not any(tabu_now[i] for i in touched)
+        scored.append((delta.objective, delta.feasible, free, swap))
+    answers = {}
+    for threshold in thresholds:
+        for swaps_only in (False, True):
+            admissible = [
+                k for k, (d, feasible, free, swap) in enumerate(scored)
+                if feasible and (swap or not swaps_only) and (free or d > threshold)
+            ]
+            best = max((scored[k][0] for k in admissible), default=None)
+            ties = [k for k in admissible if scored[k][0] == best]
+            answers[threshold, swaps_only] = ties, best
+    return answers
 
 
 def brute_force_value(inst):

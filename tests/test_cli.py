@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import bmcp
+from bmcp import _native
 from bmcp.cli import format_row, main
 from conftest import TINY_TEXT
 
@@ -221,9 +222,12 @@ def _cli_argv(command, path, tmp_path):
     if command == "solve":
         return ["solve", "--instance", str(path), "--rounds", "1",
                 "--solution", str(tmp_path / "out.sol")]
-    if command == "exact":
-        return ["exact", "--instance", str(path)]
-    return ["compare", str(path), "--runs", "1", "--rounds", "1"]
+    if command == "compare":
+        return ["compare", str(path), "--runs", "1", "--rounds", "1"]
+    if command == "generate":
+        return ["generate", "--m", "5", "--n", "4", "--density", "0.5",
+                "--capacity", "9", "--out-dir", str(tmp_path)]
+    return [command, "--instance", str(path)]
 
 
 @pytest.mark.parametrize(
@@ -259,3 +263,29 @@ def test_format_row_quotes_only_names_that_need_it():
     assert row.startswith('"say ""hi""\n",random,')
     (parsed,) = csv.reader(io.StringIO(row))
     assert parsed[0] == 'say "hi"\n'
+
+
+@pytest.fixture
+def no_compiler(tmp_path, monkeypatch):
+    """No kernel loaded yet, an empty cache and a compiler that is missing."""
+    monkeypatch.delattr(_native, "kernel", raising=False)
+    monkeypatch.setattr(_native, "CACHE_DIR", tmp_path / "cache")
+    monkeypatch.setattr(_native, "_compiler", lambda: ["bmcp-no-such-compiler"])
+
+
+@pytest.mark.parametrize("command", ["solve", "compare"])
+def test_solving_without_compiler_is_one_line_build_error(
+    tiny_file, tmp_path, capsys, no_compiler, command
+):
+    assert main(_cli_argv(command, tiny_file, tmp_path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "build error: cannot build the move scan with "
+        "'bmcp-no-such-compiler': not found\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["generate", "exact", "export-lp"])
+def test_other_commands_need_no_compiler(tiny_file, tmp_path, no_compiler, command):
+    assert main(_cli_argv(command, tiny_file, tmp_path)) == 0

@@ -1,5 +1,7 @@
 import copy
+import hashlib
 import pickle
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -88,6 +90,32 @@ def test_parse_errors_carry_line_numbers(text, fragment, lineno):
     assert fragment in str(err.value)
     assert f"line {lineno}:" in str(err.value)
     assert err.value.line == lineno
+
+
+# Breaks that str.splitlines() makes but a line count by "\n" does not.
+SPLITLINES_BREAKS = ["\v", "\f", "\x1c", "\x1d", "\x1e"]
+
+
+@pytest.mark.parametrize("char", SPLITLINES_BREAKS, ids=repr)
+@pytest.mark.parametrize("where", ["inside", "line_end"])
+def test_only_newline_ends_a_line(char, where):
+    if where == "inside":
+        text = TINY_TEXT.replace("4 5 6\n", f"4 5{char}6\n")
+    else:
+        text = TINY_TEXT.replace("2 1 2\n", f"2 1 2{char}\n")
+    assert bmcp.parse_instance(text) == bmcp.parse_instance(TINY_TEXT)
+
+
+def test_crlf_still_parses():
+    text = TINY_TEXT.replace("\n", "\r\n")
+    assert bmcp.parse_instance(text) == bmcp.parse_instance(TINY_TEXT)
+
+
+def test_line_numbers_count_newlines_only():
+    text = TINY_TEXT.replace("2 1 2\n", "2 1 2\v\n").replace("2 1 3\n", "2 1 x\n")
+    with pytest.raises(FormatError) as err:
+        bmcp.parse_instance(text)
+    assert str(err.value) == "line 7: invalid integer 'x'"
 
 
 def test_empty_row_warns():
@@ -228,6 +256,25 @@ class TestGenerator:
         for row in inst.rows:
             covered[row] = True
         assert covered.all()
+
+    def test_chunked_draws_keep_the_one_call_bits(self):
+        # 1.1M cells span two draw chunks; the digest was recorded when the
+        # generator drew every cell in one rng.random call.
+        spec = bmcp.GeneratorSpec(m=1100, n=1000, density=0.005, capacity=500, seed=8)
+        text = bmcp.write_instance(bmcp.generate_instance(spec))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == "fad72e2f7b529b58"
+
+    def test_generator_memory_stays_near_the_cell_matrix(self):
+        # 4096 x 4096 cells are a 16 MiB bool matrix; one float64 draw of
+        # them all would be 128 MiB.
+        spec = bmcp.GeneratorSpec(m=4096, n=4096, density=0.01, capacity=100, seed=1)
+        tracemalloc.start()
+        try:
+            bmcp.generate_instance(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48 * 2**20
 
     def test_realized_density_tracks_request(self):
         spec = bmcp.GeneratorSpec(m=200, n=200, density=0.08, capacity=100, seed=5)

@@ -209,17 +209,3 @@ def test_rounds_mode_replays_pinned_moves(
     assert (np.flatnonzero(result.best_selection) + 1).tolist() == items
     assert len(seen) == visits
     assert trail.hexdigest()[:16] == digest
-
-
-@pytest.mark.usefixtures("numpy_scan")
-@pytest.mark.parametrize(
-    "spec,rounds,depth,policy,best,visits,digest,items",
-    REPLAY_PINS,
-    ids=[f"m{p[0]['m']}-{p[3]}" for p in REPLAY_PINS],
-)
-def test_rounds_mode_replays_pinned_moves_on_numpy_scan(
-    spec, rounds, depth, policy, best, visits, digest, items
-):
-    test_rounds_mode_replays_pinned_moves(
-        spec, rounds, depth, policy, best, visits, digest, items
-    )

@@ -3,14 +3,16 @@ import pytest
 
 import bmcp
 from bmcp import ConfigError, Flip, SearchState, Swap, TabuList
-from bmcp.tabu import (
-    TsParams,
-    _compiled_candidates,
-    _flip_deltas,
-    _numpy_candidates,
-    _swap_deltas,
+from bmcp.tabu import TsParams, _compiled_candidates
+from conftest import (
+    TINY_TEXT,
+    make_instance,
+    move_delta,
+    reference_candidates,
+    reference_moves,
+    swap_delta,
+    tabu_items,
 )
-from conftest import TINY_TEXT, flip_delta, make_instance, move_delta, swap_delta
 
 
 def state_of(inst, items):
@@ -43,25 +45,25 @@ def test_params_validation():
 
 def test_tabu_window():
     tabu = TabuList(4, tenure=3)
-    assert not tabu.mask().any()
+    assert not tabu_items(tabu).any()
     tabu.mark(2)
     marked_at = tabu.iteration
     for offset in (1, 2, 3):
         tabu.advance()
         assert tabu.iteration == marked_at + offset
-        assert tabu.mask()[2]
-        assert not tabu.mask()[0]
+        assert tabu_items(tabu)[2]
+        assert not tabu_items(tabu)[0]
     tabu.advance()
-    assert not tabu.mask()[2]
-    assert tabu.mask().tolist() == [False] * 4
+    assert not tabu_items(tabu)[2]
+    assert tabu_items(tabu).tolist() == [False] * 4
 
 
 def test_mark_both_swap_items():
     tabu = TabuList(5, tenure=2)
     tabu.mark(1, 4)
     tabu.advance()
-    assert tabu.mask()[1] and tabu.mask()[4]
-    assert tabu.mask().tolist() == [False, True, False, False, True]
+    assert tabu_items(tabu)[1] and tabu_items(tabu)[4]
+    assert tabu_items(tabu).tolist() == [False, True, False, False, True]
 
 
 class TestSelectMove:
@@ -121,11 +123,6 @@ class TestSelectMove:
         assert delta.objective < 0
 
 
-@pytest.mark.usefixtures("numpy_scan")
-class TestSelectMoveNumpyScan(TestSelectMove):
-    """The same hand-checked picks on the numpy scan."""
-
-
 def test_random_fill_fills_everything_when_it_fits(tiny):
     roomy = bmcp.parse_instance(
         bmcp.write_instance(tiny).replace("3 3 10", "3 3 15")
@@ -172,13 +169,6 @@ def test_descent_output_has_no_improving_swap():
         for in_item in np.flatnonzero(~state.selection):
             delta = swap_delta(state, int(out_item), int(in_item))
             assert not (delta.feasible and delta.objective > 0)
-
-
-@pytest.mark.usefixtures("numpy_scan")
-def test_descent_checks_on_numpy_scan(tiny):
-    test_descent_reaches_swap_local_optimum(tiny)
-    test_descent_fixpoint(tiny)
-    test_descent_output_has_no_improving_swap()
 
 
 def test_tabu_search_finds_tiny_optimum(tiny):
@@ -263,38 +253,6 @@ def _instance_near_2_58():
     )
 
 
-@pytest.mark.parametrize(
-    "build",
-    [
-        lambda: make_instance(40, 50, 0.1, 0.4, seed=15),
-        _instance_with_gaps,
-        _instance_near_2_58,
-    ],
-    ids=["generated", "gaps", "near_2_58"],
-)
-def test_evaluator_matches_scalar_reference(build):
-    inst = build()
-    rng = np.random.default_rng(23)
-    for _ in range(25):
-        sel = bmcp.random_fill(inst, rng)
-        sel &= rng.random(inst.m) < 0.8
-        state = SearchState.from_selection(inst, sel)
-        sel_idx = np.flatnonzero(sel)
-        unsel_idx = np.flatnonzero(~sel)
-        gain, loss = _flip_deltas(state)
-        assert gain.dtype == loss.dtype == np.int64
-        for i in unsel_idx:
-            assert gain[i] == flip_delta(state, int(i)).objective
-        for i in sel_idx:
-            assert -loss[i] == flip_delta(state, int(i)).objective
-        swaps = _swap_deltas(state, sel_idx, unsel_idx, gain, loss)
-        assert swaps.dtype == np.int64
-        assert swaps.shape == (sel_idx.size, unsel_idx.size)
-        for r, a in enumerate(sel_idx):
-            for c, b in enumerate(unsel_idx):
-                assert swaps[r, c] == swap_delta(state, int(a), int(b)).objective
-
-
 def _tabu(m, expiry, iteration):
     tabu = TabuList(m, 1)
     tabu.expiry[:], tabu.iteration = expiry, iteration
@@ -302,7 +260,7 @@ def _tabu(m, expiry, iteration):
 
 
 def _random_cases(inst):
-    """(state, tabu list, best so far) on random feasible states."""
+    """(state, tabu list, best-so-far values) on random feasible states."""
     rng = np.random.default_rng(31)
     for _ in range(25):
         sel = bmcp.random_fill(inst, rng)
@@ -310,8 +268,7 @@ def _random_cases(inst):
         state = SearchState.from_selection(inst, sel)
         expiry = rng.integers(0, 8, size=inst.m) * (rng.random(inst.m) < 0.3)
         tabu = _tabu(inst.m, expiry, int(rng.integers(1, 6)))
-        for slack in (-3, 0, 3, 10**6):
-            yield state, tabu, state.objective + slack
+        yield state, tabu, [state.objective + slack for slack in (-3, 0, 3, 10**6)]
 
 
 def _edge_cases():
@@ -334,39 +291,56 @@ def _edge_cases():
     }
 
 
+def _reference_descent(state, rng):
+    """:func:`bmcp.descent_local_search` on the scalar reference."""
+    no_tabu = TabuList(state.instance.m, 1)
+    while True:
+        ties, best = reference_candidates(state, no_tabu, [0])[0, True]
+        if best is None or best <= 0:
+            return state
+        state.apply(reference_moves(state)[ties[rng.integers(len(ties))]])
+
+
 @pytest.mark.parametrize(
     "cases",
     [
         lambda: _random_cases(make_instance(40, 50, 0.1, 0.4, seed=15)),
         lambda: _random_cases(_instance_with_gaps()),
         lambda: _random_cases(_instance_near_2_58()),
-        lambda: [case[:3] for case in _edge_cases().values()],
+        lambda: [(s, t, [best]) for s, t, best, _ in _edge_cases().values()],
     ],
     ids=["generated", "gaps", "near_2_58", "edges"],
 )
-def test_compiled_scan_matches_numpy(cases, compiled_scan, monkeypatch):
-    for state, tabu, best_so_far in cases():
-        threshold = best_so_far - state.objective
-        for swaps_only in (False, True):
-            want = _numpy_candidates(state, tabu, threshold, swaps_only)
-            got = _compiled_candidates(compiled_scan, state, tabu, threshold, swaps_only)
-            assert got[0].tolist() == want[0].tolist()
-            if want[0].size:
-                assert got[1] == want[1]
-        picks = []
-        for kernel in (compiled_scan, None):
-            monkeypatch.setattr(bmcp._native, "kernel", kernel)
+def test_scan_matches_scalar_reference(cases):
+    for state, tabu, bests in cases():
+        thresholds = [best - state.objective for best in bests]
+        want = reference_candidates(state, tabu, thresholds)
+        for (threshold, swaps_only), (ties, best) in want.items():
+            got, got_best = _compiled_candidates(state, tabu, threshold, swaps_only)
+            assert got.tolist() == ties
+            if ties:
+                assert got_best == best
+        for best_so_far, threshold in zip(bests, thresholds):
             rng = np.random.default_rng(tabu.iteration)
+            ref_rng = np.random.default_rng(tabu.iteration)
             move = bmcp.select_move(state, tabu, best_so_far, rng)
-            descended = bmcp.descent_local_search(state.copy(), rng)
-            picks.append((move, descended.selection.tolist(), rng.bit_generator.state))
-        assert picks[0] == picks[1]
+            ties, _ = want[threshold, False]
+            if len(ties) > 1:
+                ties = [ties[ref_rng.integers(len(ties))]]
+            assert move == (reference_moves(state)[ties[0]] if ties else None)
+        # The descent continues from the last pick's draws.
+        descended = bmcp.descent_local_search(state.copy(), rng)
+        ref_descended = _reference_descent(state.copy(), ref_rng)
+        assert descended.selection.tolist() == ref_descended.selection.tolist()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_edge_cases_have_the_named_tie_sets():
     for name, (state, tabu, best_so_far, ties) in _edge_cases().items():
-        got, _ = _numpy_candidates(state, tabu, best_so_far - state.objective, False)
-        assert got.tolist() == ties, name
+        threshold = best_so_far - state.objective
+        got, _ = _compiled_candidates(state, tabu, threshold, False)
+        want, _ = reference_candidates(state, tabu, [threshold])[threshold, False]
+        assert got.tolist() == want == ties, name
 
 
 def test_tabu_search_respects_deadline():
