@@ -1,11 +1,11 @@
 /* Exact best-move scan of the flip and swap neighbourhoods, one pass per pick.
  *
- * Candidates are numbered flip-ins by unselected rank 0..u-1, flip-outs by
- * selected rank u..u+s-1, then the swap of the i-th selected for the j-th
- * unselected item as u+s+i*u+j. Every admissible candidate whose delta
- * equals the best admissible delta is written to `out` in ascending order,
- * and their count is returned: 0 when nothing is admissible, -1 when
- * scratch memory could not be allocated.
+ * Every admissible move whose delta equals the best admissible delta is
+ * written to `out` as its items: `i` for the flip of item i (in or out),
+ * `m + m*a + b` for the swap of selected item a for unselected item b. The
+ * scan order is flip-ins, flip-outs, then swaps by (a, b), each in ascending
+ * item order, and the count is returned: 0 when nothing is admissible, -1
+ * when scratch memory could not be allocated.
  * `best_delta` receives that best delta.
  *
  * All arithmetic is int64. Weight and profit totals stay below 2^62, so
@@ -27,13 +27,15 @@ int64_t bmcp_scan(
     int64_t *out, int64_t *best_delta)
 {
     /* rank: unselected rank of an unselected item; u (a dump slot of the
-     * correction row) for a selected one. value: gain of flipping an
-     * unselected item in, loss of flipping a selected one out. */
-    int64_t *scratch = malloc((size_t)(7 * m + 1) * sizeof(int64_t));
+     * correction row) for a selected one. uitem: the item of each
+     * unselected rank. value: gain of flipping an unselected item in, loss
+     * of flipping a selected one out. */
+    int64_t *scratch = malloc((size_t)(8 * m + 1) * sizeof(int64_t));
     if (scratch == NULL)
         return -1;
-    int64_t *rank = scratch, *value = rank + m, *sel = value + m;
-    int64_t *ugain = sel + m, *uweight = ugain + m, *ufree = uweight + m;
+    int64_t *rank = scratch, *uitem = rank + m, *value = uitem + m;
+    int64_t *sel = value + m, *ugain = sel + m, *uweight = ugain + m;
+    int64_t *ufree = uweight + m;
     int64_t *row = ufree + m; /* u + 1 entries, the last one the dump slot */
     int64_t s = 0, u = 0;
 
@@ -50,6 +52,7 @@ int64_t bmcp_scan(
             sel[s++] = i;
         } else {
             rank[i] = u;
+            uitem[u] = i;
             ugain[u] = v;
             uweight[u] = weights[i];
             ufree[u] = expiry[i] < iteration;
@@ -75,15 +78,15 @@ int64_t bmcp_scan(
     if (!swaps_only) {
         for (int64_t j = 0; j < u; j++) {
             int64_t d = ugain[j];
-            CONSIDER(d, (uweight[j] <= headroom) & (ufree[j] | (d > threshold)), j);
+            CONSIDER(d, (uweight[j] <= headroom) & (ufree[j] | (d > threshold)),
+                     uitem[j]);
         }
         for (int64_t r = 0; r < s; r++) {
             int64_t a = sel[r], d = -value[a];
-            CONSIDER(d, (expiry[a] < iteration) | (d > threshold), u + r);
+            CONSIDER(d, (expiry[a] < iteration) | (d > threshold), a);
         }
     }
 
-    int64_t base = u + s;
     for (int64_t r = 0; r < s; r++) {
         int64_t a = sel[r];
         /* Correction: the profit of each element a covers alone goes to
@@ -98,11 +101,11 @@ int64_t bmcp_scan(
             }
         }
         int64_t loss = value[a], limit = headroom + weights[a];
-        int64_t afree = expiry[a] < iteration, first = base + r * u;
+        int64_t afree = expiry[a] < iteration, first = m + m * a;
         for (int64_t j = 0; j < u; j++) {
             int64_t d = (ugain[j] - loss) + row[j];
             CONSIDER(d, (uweight[j] <= limit) & ((afree & ufree[j]) | (d > threshold)),
-                     first + j);
+                     first + uitem[j]);
         }
     }
 #undef CONSIDER

@@ -18,24 +18,20 @@ _TERMS_PER_LINE = 8
 _NAMES_PER_LINE = 12
 
 
-def _wrap_sum(name: str, terms: list[str], bound: str | None = None) -> list[str]:
-    """Rows whose terms all add: join with ' + ', continuation lines indented."""
-    joined = [" + ".join(terms[k : k + _TERMS_PER_LINE]) for k in range(0, len(terms), _TERMS_PER_LINE)]
-    lines = [f" {name}: {joined[0]}"]
-    lines.extend(f"   + {chunk}" for chunk in joined[1:])
+def _wrap_row(name: str, terms: list[str], bound: str | None = None) -> list[str]:
+    """One named row; every term after the first carries its sign."""
+    lines = []
+    for k in range(0, len(terms), _TERMS_PER_LINE):
+        chunk = " ".join(terms[k : k + _TERMS_PER_LINE])
+        lines.append(f" {name}: {chunk}" if k == 0 else f"   {chunk}")
     if bound is not None:
         lines[-1] += f" {bound}"
     return lines
 
 
-def _wrap_row(name: str, terms: list[str], bound: str) -> list[str]:
-    """Rows with mixed signs; each term already carries its sign."""
-    lines = []
-    for k in range(0, len(terms), _TERMS_PER_LINE):
-        chunk = " ".join(terms[k : k + _TERMS_PER_LINE])
-        lines.append(f" {name}: {chunk}" if k == 0 else f"   {chunk}")
-    lines[-1] += f" {bound}"
-    return lines
+def _sum_terms(coefficients: list[int], var: str) -> list[str]:
+    """The terms ``c1 v1``, ``+ c2 v2``, ... of a sum, signed for :func:`_wrap_row`."""
+    return [f"{'+ ' if k else ''}{c} {var}{k + 1}" for k, c in enumerate(coefficients)]
 
 
 def export_lp(inst: Instance) -> str:
@@ -44,11 +40,10 @@ def export_lp(inst: Instance) -> str:
     bounds = colptr.tolist()
     covering = (colitems + 1).tolist()
     lines = ["Maximize"]
-    obj_terms = [f"{p} x{j + 1}" for j, p in enumerate(inst.profits.tolist())]
-    lines.extend(_wrap_sum("obj", obj_terms))
+    lines.extend(_wrap_row("obj", _sum_terms(inst.profits.tolist(), "x")))
     lines.append("Subject To")
-    cap_terms = [f"{w} y{i + 1}" for i, w in enumerate(inst.weights.tolist())]
-    lines.extend(_wrap_sum("capacity", cap_terms, bound=f"<= {inst.capacity}"))
+    cap_terms = _sum_terms(inst.weights.tolist(), "y")
+    lines.extend(_wrap_row("capacity", cap_terms, f"<= {inst.capacity}"))
     for j in range(inst.n):
         terms = [f"x{j + 1}"] + [f"- y{i}" for i in covering[bounds[j] : bounds[j + 1]]]
         lines.extend(_wrap_row(f"cover_{j + 1}", terms, "<= 0"))

@@ -140,7 +140,7 @@ def solve(inst: Instance, cfg: SolverConfig, observer=None) -> RunResult:
         )
         rounds += 1
         if phase_best.objective > best.objective:
-            best = phase_best.copy()
+            best = phase_best
             time_to_best = time.perf_counter() - started
         if cfg.perturbation == "probability":
             restart = probability_perturbation(phase_best, prob, rng)

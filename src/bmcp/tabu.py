@@ -73,7 +73,9 @@ class TabuList:
 
     def __init__(self, item_count: int, tenure: int):
         self.expiry = np.zeros(item_count, dtype=np.int64)
-        self.tenure = tenure
+        # The expiry is int64. No phase runs MAX_TOTAL iterations, so
+        # clamping there changes no move.
+        self.tenure = min(tenure, MAX_TOTAL)
         self.iteration = 1
 
     def advance(self) -> None:
@@ -86,12 +88,12 @@ class TabuList:
 def _compiled_candidates(
     state: SearchState, tabu: TabuList, threshold: int, swaps_only: bool
 ) -> tuple[np.ndarray, int]:
-    """Every admissible candidate at the best delta, ascending, and that delta.
+    """Every admissible move at the best delta, in scan order, and that delta.
 
-    One pass of :data:`bmcp._native.kernel`; ``_scan.c`` documents how the
-    candidates are numbered. Admissible: feasible and either non-tabu or
-    past the aspiration bar, ``delta > threshold``. ``swaps_only`` leaves
-    the flips out.
+    One pass of :data:`bmcp._native.kernel`; ``_scan.c`` documents the scan
+    order and the item codes the moves come as, which :func:`_move` decodes.
+    Admissible: feasible and either non-tabu or past the aspiration bar,
+    ``delta > threshold``. ``swaps_only`` leaves the flips out.
     """
     inst = state.instance
     sel, cov, expiry = state.selection, state.coverage, tabu.expiry
@@ -121,19 +123,9 @@ def _compiled_candidates(
     return buf[1 : 1 + count], int(buf[0])
 
 
-def _candidate_move(selection: np.ndarray, number: int) -> Move:
-    """The move a candidate number stands for in ``selection``."""
-    sel_idx = np.flatnonzero(selection)
-    unsel_idx = np.flatnonzero(~selection)
-    n_in = unsel_idx.size
-    n_out = sel_idx.size
-    if number < n_in:
-        return Flip(int(unsel_idx[number]))
-    number -= n_in
-    if number < n_out:
-        return Flip(int(sel_idx[number]))
-    number -= n_out
-    return Swap(int(sel_idx[number // n_in]), int(unsel_idx[number % n_in]))
+def _move(m: int, code: int) -> Move:
+    """The move a scan code stands for on ``m`` items."""
+    return Flip(code) if code < m else Swap(*divmod(code - m, m))
 
 
 def select_move(
@@ -154,7 +146,7 @@ def select_move(
     if not ties.size:
         return None
     pick = ties[0] if ties.size == 1 else ties[rng.integers(ties.size)]
-    return _candidate_move(state.selection, int(pick))
+    return _move(state.instance.m, int(pick))
 
 
 def random_fill(
@@ -198,7 +190,7 @@ def descent_local_search(
         if not ties.size or best <= 0:
             return state
         pick = ties[rng.integers(ties.size)]
-        state.apply(_candidate_move(state.selection, int(pick)))
+        state.apply(_move(state.instance.m, int(pick)))
 
 
 def initial_solution(inst: Instance, rng: np.random.Generator) -> SearchState:

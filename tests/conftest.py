@@ -88,9 +88,12 @@ def swap_delta(state, out_item, in_item):
     row_out = inst.rows[out_item]
     row_in = inst.rows[in_item]
     lost = int(inst.profits[row_out][state.coverage[row_out] == 1].sum())
-    counts_in = state.coverage[row_in].copy()
-    counts_in[np.isin(row_in, row_out, assume_unique=True)] -= 1
-    gained = int(inst.profits[row_in][counts_in == 0].sum())
+    leaving = set(row_out.tolist())
+    gained = sum(
+        int(inst.profits[e])
+        for e in row_in.tolist()
+        if state.coverage[e] - (e in leaving) == 0
+    )
     dw = int(inst.weights[in_item]) - int(inst.weights[out_item])
     return MoveDelta(gained - lost, dw, state.total_weight + dw <= inst.capacity)
 
@@ -107,8 +110,8 @@ def tabu_items(tabu):
 
 
 def reference_moves(state):
-    """Every flip and swap of ``state`` in the scan's candidate order:
-    flip-ins, flip-outs, then swaps by (leaving, entering) item."""
+    """Every flip and swap of ``state`` in the scan's order: flip-ins,
+    flip-outs, then swaps by (leaving, entering) item."""
     sel = np.flatnonzero(state.selection).tolist()
     unsel = np.flatnonzero(~state.selection).tolist()
     return (
@@ -118,12 +121,20 @@ def reference_moves(state):
     )
 
 
+def move_code(m, move):
+    """The scan's code for ``move`` on ``m`` items: a flip's item, or
+    m + m*a + b for the swap of selected a for unselected b."""
+    if isinstance(move, bmcp.Swap):
+        return m + m * move.out_item + move.in_item
+    return move.item
+
+
 def reference_candidates(state, tabu, thresholds):
     """The move scan's answer, from the scalar deltas, for each threshold.
 
-    Maps (threshold, swaps_only) to the admissible candidate numbers at the
-    best delta, ascending, and that delta (None when there is none).
-    Admissible: feasible, and either every touched item free or
+    Maps (threshold, swaps_only) to the codes of the admissible moves at
+    the best delta, in the scan's order, and that delta (None when there is
+    none). Admissible: feasible, and either every touched item free or
     ``delta > threshold``. Each move's delta is computed once.
     """
     tabu_now = tabu_items(tabu)
@@ -133,16 +144,17 @@ def reference_candidates(state, tabu, thresholds):
         swap = isinstance(move, bmcp.Swap)
         touched = (move.out_item, move.in_item) if swap else (move.item,)
         free = not any(tabu_now[i] for i in touched)
-        scored.append((delta.objective, delta.feasible, free, swap))
+        code = move_code(state.instance.m, move)
+        scored.append((code, delta.objective, delta.feasible, free, swap))
     answers = {}
     for threshold in thresholds:
         for swaps_only in (False, True):
             admissible = [
-                k for k, (d, feasible, free, swap) in enumerate(scored)
+                (d, code) for code, d, feasible, free, swap in scored
                 if feasible and (swap or not swaps_only) and (free or d > threshold)
             ]
-            best = max((scored[k][0] for k in admissible), default=None)
-            ties = [k for k in admissible if scored[k][0] == best]
+            best = max((d for d, _ in admissible), default=None)
+            ties = [code for d, code in admissible if d == best]
             answers[threshold, swaps_only] = ties, best
     return answers
 

@@ -51,6 +51,17 @@ def test_solve_emits_csv_and_solution(tiny_file, tmp_path, capsys, monkeypatch):
     assert bmcp.full_objective(bmcp.load_instance(tiny_file), solution) == 12
 
 
+def test_solve_takes_a_tenure_beyond_int64(tiny_file, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code = main(
+        ["solve", "--instance", str(tiny_file), "--rounds", "1", "--tenure", str(10**19)]
+    )
+    assert code == 0
+    out, err = capsys.readouterr()
+    assert out.splitlines()[1].startswith("tiny1,probability,1,12,")
+    assert err == ""
+
+
 def test_solve_writes_output_files(tiny_file, tmp_path):
     csv_path = tmp_path / "result.csv"
     sol_path = tmp_path / "result.sol"

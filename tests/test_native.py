@@ -55,7 +55,10 @@ def test_unwritable_cache_builds_privately(tmp_path, monkeypatch):
 
 
 def test_kernel_source_compiles_without_warnings(tmp_path):
-    strict = ["-std=c99", "-Wall", "-Wextra", "-pedantic", "-Werror", "-c"]
+    strict = [
+        "-std=c99", "-Wall", "-Wextra", "-pedantic", "-Wconversion",
+        "-Wsign-conversion", "-Wshadow", "-Werror", "-c",
+    ]
     done = subprocess.run(
         [*_native._compiler(), *strict, "-o", str(tmp_path / "scan.o"), str(_native.SOURCE)],
         capture_output=True, text=True,

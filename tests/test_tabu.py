@@ -7,6 +7,7 @@ from bmcp.tabu import TsParams, _compiled_candidates
 from conftest import (
     TINY_TEXT,
     make_instance,
+    move_code,
     move_delta,
     reference_candidates,
     reference_moves,
@@ -56,6 +57,14 @@ def test_tabu_window():
     tabu.advance()
     assert not tabu_items(tabu)[2]
     assert tabu_items(tabu).tolist() == [False] * 4
+
+
+def test_tenure_beyond_int64_keeps_the_item_tabu():
+    tabu = TabuList(3, tenure=2**70)
+    tabu.mark(1)
+    for _ in range(5):
+        tabu.advance()
+    assert tabu_items(tabu).tolist() == [False, True, False]
 
 
 def test_mark_both_swap_items():
@@ -273,7 +282,7 @@ def _random_cases(inst):
 
 def _edge_cases():
     """Named (state, tabu list, best so far, tie set) cases on the tiny
-    fixture; ties are candidate numbers (flip-ins, flip-outs, swaps)."""
+    fixture; ties are the scan's move codes, here the items of flips."""
     tiny = bmcp.parse_instance(TINY_TEXT)
     roomy = bmcp.parse_instance(TINY_TEXT.replace("3 3 10", "3 3 15"))
     # Headroom and threshold beyond int64, which must not wrap.
@@ -283,12 +292,16 @@ def _edge_cases():
         "s=0": (state_of(tiny, []), _tabu(3, free, 1), 0, [0]),
         "u=0": (state_of(roomy, [0, 1, 2]), _tabu(3, free, 1), 12, [0, 1, 2]),
         "none admissible": (state_of(tiny, [0]), _tabu(3, [5, 5, 5], 2), 13, []),
-        "two ties": (state_of(tiny, [0]), _tabu(3, free, 1), 10, [0, 1]),
-        # Flip-in 0 is the tabu item 1, admitted by aspiration.
-        "aspiration": (state_of(tiny, [0]), _tabu(3, [0, 5, 0], 2), 11, [0, 1]),
-        "vast capacity": (state_of(vast, [0]), _tabu(3, free, 1), 10, [0, 1]),
-        "far best": (state_of(tiny, [0]), _tabu(3, [0, 5, 0], 2), 2**64 + 10, [1]),
+        "two ties": (state_of(tiny, [0]), _tabu(3, free, 1), 10, [1, 2]),
+        # The flip-in of the tabu item 1 is admitted by aspiration.
+        "aspiration": (state_of(tiny, [0]), _tabu(3, [0, 5, 0], 2), 11, [1, 2]),
+        "vast capacity": (state_of(vast, [0]), _tabu(3, free, 1), 10, [1, 2]),
+        "far best": (state_of(tiny, [0]), _tabu(3, [0, 5, 0], 2), 2**64 + 10, [2]),
     }
+
+
+def _moves_by_code(state):
+    return {move_code(state.instance.m, move): move for move in reference_moves(state)}
 
 
 def _reference_descent(state, rng):
@@ -298,7 +311,7 @@ def _reference_descent(state, rng):
         ties, best = reference_candidates(state, no_tabu, [0])[0, True]
         if best is None or best <= 0:
             return state
-        state.apply(reference_moves(state)[ties[rng.integers(len(ties))]])
+        state.apply(_moves_by_code(state)[ties[rng.integers(len(ties))]])
 
 
 @pytest.mark.parametrize(
@@ -320,6 +333,7 @@ def test_scan_matches_scalar_reference(cases):
             assert got.tolist() == ties
             if ties:
                 assert got_best == best
+        moves = _moves_by_code(state)
         for best_so_far, threshold in zip(bests, thresholds):
             rng = np.random.default_rng(tabu.iteration)
             ref_rng = np.random.default_rng(tabu.iteration)
@@ -327,7 +341,7 @@ def test_scan_matches_scalar_reference(cases):
             ties, _ = want[threshold, False]
             if len(ties) > 1:
                 ties = [ties[ref_rng.integers(len(ties))]]
-            assert move == (reference_moves(state)[ties[0]] if ties else None)
+            assert move == (moves[ties[0]] if ties else None)
         # The descent continues from the last pick's draws.
         descended = bmcp.descent_local_search(state.copy(), rng)
         ref_descended = _reference_descent(state.copy(), ref_rng)
