@@ -29,7 +29,9 @@ def exact_optimum(inst: Instance) -> tuple[int, np.ndarray]:
     capacity = inst.capacity
     weights = inst.weights.tolist()
     profits = inst.profits.tolist()
-    rows = [row.tolist() for row in inst.rows]
+    indices = inst.indices.tolist()
+    bounds = inst.indptr.tolist()
+    rows = [indices[a:b] for a, b in zip(bounds, bounds[1:])]
     counts = [0] * inst.n
 
     best_objective = -1

@@ -18,13 +18,17 @@ The text format, one instance per file::
 
 Element and item indices are 1-based in files and 0-based everywhere in
 memory. Files are ASCII; :func:`load_instance` rejects any other byte.
+
+In memory the incidence is one CSR pair, ``indptr`` and ``indices``: the
+form :class:`Instance` is built from and the only one it keeps. Parsing,
+writing and generating work on that pair as whole arrays.
 """
 
 from __future__ import annotations
 
 import operator
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from typing import Iterable, Sequence
@@ -59,24 +63,24 @@ class Instance:
     :param profits: per-element profits, shape (n,), positive int64 with a
         total below :data:`MAX_TOTAL`.
     :param capacity: knapsack capacity C >= 0.
-    :param rows: per-item covered elements as 0-based element indices, in
-        any order and possibly repeated; stored sorted and unique.
+    :param indptr: CSR row pointer of the incidence, shape (m + 1,),
+        nondecreasing from 0 to ``indices.size``.
+    :param indices: 0-based element indices of every row back to back:
+        item i covers ``indices[indptr[i]:indptr[i + 1]]``. Rows may come in
+        any order and with repeats; they are stored sorted and unique.
     :param name: presentation label used in file names and CSV rows; not
         part of equality.
 
-    The incidence is kept as one read-only CSR pair: ``indices`` holds every
-    row's sorted unique elements back to back, and item i covers
-    ``indices[indptr[i]:indptr[i + 1]]``. Each entry of ``rows`` is a
-    read-only int64 view of its slice.
+    The instance owns a read-only copy of every array it is given. A pickled
+    or deep-copied instance is rebuilt through this constructor.
     """
 
     weights: np.ndarray
     profits: np.ndarray
     capacity: int
-    rows: tuple[np.ndarray, ...]
+    indptr: np.ndarray
+    indices: np.ndarray
     name: str = ""
-    indptr: np.ndarray = field(init=False, repr=False)
-    indices: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         weights = _int64_array(self.weights, "weights")
@@ -98,17 +102,14 @@ class Instance:
             raise ValueError(f"capacity must be an integer, got {self.capacity!r}") from None
         if capacity < 0:
             raise ValueError("negative capacity")
-        if len(self.rows) != weights.size:
-            raise ValueError(
-                f"row count mismatch: {len(self.rows)} rows for {weights.size} items"
-            )
-        indptr, indices = _canonical_csr(self.rows, profits.size)
+        indptr = _int64_array(self.indptr, "indptr")
+        indices = _int64_array(self.indices, "indices")
+        indptr, indices = _canonical_csr(indptr, indices, weights.size, profits.size)
         for arr in (weights, profits, indptr, indices):
             arr.flags.writeable = False
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "profits", profits)
         object.__setattr__(self, "capacity", capacity)
-        object.__setattr__(self, "rows", _row_views(indptr, indices))
         object.__setattr__(self, "indptr", indptr)
         object.__setattr__(self, "indices", indices)
 
@@ -122,21 +123,11 @@ class Instance:
         """Number of elements."""
         return self.profits.size
 
-    @property
-    def density(self) -> float:
-        """Fraction of nonzero cells in the m-by-n incidence matrix."""
-        return self.indices.size / (self.m * self.n)
-
     @cached_property
     def incidence(self) -> sp.csr_array:
         """0/1 incidence matrix, items by elements, int64 CSR on ``indices``."""
         data = np.ones(self.indices.size, dtype=np.int64)
         return sp.csr_array((data, self.indices, self.indptr), shape=(self.m, self.n))
-
-    @cached_property
-    def incidence_items(self) -> np.ndarray:
-        """Item of every entry of ``indices``, in CSR order."""
-        return np.repeat(np.arange(self.m), np.diff(self.indptr))
 
     @cached_property
     def csc(self) -> tuple[np.ndarray, np.ndarray]:
@@ -147,7 +138,8 @@ class Instance:
         :func:`bmcp.lpexport.export_lp` read it.
         """
         colptr = _indptr(np.bincount(self.indices, minlength=self.n))
-        colitems = self.incidence_items[np.argsort(self.indices, kind="stable")]
+        items = np.repeat(np.arange(self.m), np.diff(self.indptr))
+        colitems = items[np.argsort(self.indices, kind="stable")]
         for arr in (colptr, colitems):
             arr.flags.writeable = False
         return colptr, colitems
@@ -162,12 +154,13 @@ class Instance:
         arrays = (self.indptr, self.indices, *self.csc, self.profits, self.weights)
         return tuple(arr.ctypes.data for arr in arrays)
 
-    def __getstate__(self):
-        # Addresses hold only for these arrays in this process: a pickled or
-        # deep-copied instance takes its own on first use.
-        state = self.__dict__.copy()
-        state.pop("scan_addresses", None)
-        return state
+    def __reduce__(self):
+        # Only the six fields travel: the copy is validated and read-only
+        # again, and builds its own caches (the scan addresses hold only for
+        # these arrays in this process).
+        return type(self), (
+            self.weights, self.profits, self.capacity, self.indptr, self.indices, self.name
+        )
 
     def __eq__(self, other) -> bool:
         """Data equality; the name label is ignored."""
@@ -185,10 +178,11 @@ class Instance:
 
 
 def _int64_array(values, label: str) -> np.ndarray:
-    """Contiguous int64 array of integer ``values``; ValueError otherwise.
+    """New contiguous int64 array of integer ``values``; ValueError otherwise.
 
     A plain cast would truncate floats and bools and wrap large unsigned
-    values without a word.
+    values without a word. The result is always a copy, so the caller's
+    array stays writeable and cannot change the instance afterwards.
     """
     arr = np.asarray(values)
     if arr.size and (
@@ -196,21 +190,19 @@ def _int64_array(values, label: str) -> np.ndarray:
         or (arr.dtype.kind == "u" and arr.max() > np.iinfo(np.int64).max)
     ):
         raise ValueError(f"{label} must be integers that fit in int64, got {arr.dtype}")
-    return np.ascontiguousarray(arr, dtype=np.int64)
+    return np.array(arr, dtype=np.int64, order="C")
 
 
-def _canonical_csr(rows, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """CSR pair of ``rows`` with each row sorted and unique; range-checked."""
-    arrays = []
-    for i, row in enumerate(rows):
-        arr = np.asarray(row)
-        # An empty row reads as float64; a value beyond int64 wraps to a
-        # negative index, which the range check rejects.
-        if arr.size and arr.dtype.kind not in "iu":
-            raise ValueError(f"item {i}: element indices must be integers, got {arr.dtype}")
-        arrays.append(arr.astype(np.int64, copy=False).ravel())
-    indptr = _indptr([a.size for a in arrays])
-    indices = np.concatenate(arrays)
+def _canonical_csr(indptr, indices, m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Shape- and range-checked CSR pair with each row sorted and unique."""
+    if indptr.shape != (m + 1,):
+        raise ValueError(f"indptr must have shape ({m + 1},), got {indptr.shape}")
+    if indices.ndim != 1:
+        raise ValueError(f"indices must be 1-d, got shape {indices.shape}")
+    if indptr[0] != 0 or indptr[-1] != indices.size:
+        raise ValueError(f"indptr must run from 0 to indices.size = {indices.size}")
+    if (np.diff(indptr) < 0).any():
+        raise ValueError("indptr decreases")
     bad = (indices < 0) | (indices >= n)
     if bad.any():
         item = np.searchsorted(indptr, np.argmax(bad), side="right") - 1
@@ -221,13 +213,13 @@ def _canonical_csr(rows, n: int) -> tuple[np.ndarray, np.ndarray]:
     starts = indptr[1:-1]
     ascending[starts[(starts > 0) & (starts < indices.size)] - 1] = True
     if not ascending.all():
-        items = np.repeat(np.arange(len(arrays)), np.diff(indptr))
+        items = np.repeat(np.arange(m), np.diff(indptr))
         order = np.lexsort((indices, items))
         indices, items = indices[order], items[order]
         keep = np.ones(indices.size, dtype=bool)
         keep[1:] = (indices[1:] != indices[:-1]) | (items[1:] != items[:-1])
         indices = indices[keep]
-        indptr = _indptr(np.bincount(items[keep], minlength=len(arrays)))
+        indptr = _indptr(np.bincount(items[keep], minlength=m))
     return indptr, indices
 
 
@@ -236,12 +228,6 @@ def _indptr(counts) -> np.ndarray:
     indptr = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     return indptr
-
-
-def _row_views(indptr: np.ndarray, indices: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Row i of a CSR pair as the slice ``indices[indptr[i]:indptr[i + 1]]``."""
-    bounds = indptr.tolist()
-    return tuple(indices[a:b] for a, b in zip(bounds, bounds[1:]))
 
 
 def _total_message(label: str) -> str:
@@ -281,7 +267,7 @@ def full_objective(inst: Instance, selection) -> int:
 def coverage_counts(inst: Instance, selection) -> np.ndarray:
     """Per-element count of selected items covering it, from scratch."""
     sel = as_selection(inst.m, selection)
-    return np.bincount(inst.indices[sel[inst.incidence_items]], minlength=inst.n)
+    return np.bincount(inst.indices[np.repeat(sel, np.diff(inst.indptr))], minlength=inst.n)
 
 
 def _ints(tokens: Sequence[str], lineno: int) -> list[int]:
@@ -364,10 +350,11 @@ def parse_instance(text: str, name: str = "") -> Instance:
         warnings.warn(f"elements covered by no item: {uncovered}", InstanceWarning, stacklevel=2)
 
     return Instance(
-        weights=np.asarray(weights, dtype=np.int64),
-        profits=np.asarray(profits, dtype=np.int64),
+        weights=weights,
+        profits=profits,
         capacity=capacity,
-        rows=_row_views(_indptr(counts), indices),
+        indptr=_indptr(counts),
+        indices=indices,
         name=name,
     )
 
@@ -546,11 +533,11 @@ def generate_instance(spec: GeneratorSpec) -> Instance:
         cells[rng.integers(spec.m), j] = True
     # Flat row-major cell numbers: row i starts at the first one >= i * n.
     flat = np.flatnonzero(cells)
-    indptr = np.searchsorted(flat, np.arange(spec.m + 1) * spec.n)
     return Instance(
         weights=weights,
         profits=profits,
         capacity=spec.capacity,
-        rows=_row_views(indptr, flat % spec.n),
+        indptr=np.searchsorted(flat, np.arange(spec.m + 1) * spec.n),
+        indices=flat % spec.n,
         name=instance_name(spec.m, spec.n, spec.density, spec.capacity),
     )

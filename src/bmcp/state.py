@@ -72,7 +72,7 @@ class SearchState:
 
     def _flip_in(self, item: int) -> None:
         inst = self.instance
-        row = inst.rows[item]
+        row = inst.indices[inst.indptr[item] : inst.indptr[item + 1]]
         counts = self.coverage[row]
         self.objective += int(inst.profits[row][counts == 0].sum())
         self.coverage[row] = counts + 1
@@ -81,7 +81,7 @@ class SearchState:
 
     def _flip_out(self, item: int) -> None:
         inst = self.instance
-        row = inst.rows[item]
+        row = inst.indices[inst.indptr[item] : inst.indptr[item + 1]]
         counts = self.coverage[row]
         self.objective -= int(inst.profits[row][counts == 1].sum())
         self.coverage[row] = counts - 1

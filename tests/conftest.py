@@ -46,6 +46,20 @@ def make_instance(m, n, density, capacity_fraction, seed):
     )
 
 
+def csr(rows):
+    """``indptr`` and ``indices`` keywords of :class:`bmcp.Instance` for
+    ragged ``rows`` of 0-based elements; empty rows keep ``indices`` int64."""
+    return dict(
+        indptr=np.cumsum([0, *map(len, rows)]),
+        indices=np.array([e for row in rows for e in row], dtype=np.int64),
+    )
+
+
+def row_of(inst, item):
+    """Elements covered by ``item``: its slice of the instance's CSR pair."""
+    return inst.indices[inst.indptr[item] : inst.indptr[item + 1]]
+
+
 def rebuild(inst, selection):
     """Coverage, weight, objective from scratch via the incidence matvec."""
     counts = inst.incidence.T @ selection.astype(np.int64)
@@ -66,7 +80,7 @@ class MoveDelta:
 def flip_delta(state, item):
     """Scalar effect of toggling ``item``; the state is not mutated."""
     inst = state.instance
-    row = inst.rows[item]
+    row = row_of(inst, item)
     counts = state.coverage[row]
     prof = inst.profits[row]
     if state.selection[item]:
@@ -85,8 +99,8 @@ def swap_delta(state, out_item, in_item):
     if state.selection[in_item]:
         raise ValueError(f"in_item {in_item} is already selected")
     inst = state.instance
-    row_out = inst.rows[out_item]
-    row_in = inst.rows[in_item]
+    row_out = row_of(inst, out_item)
+    row_in = row_of(inst, in_item)
     lost = int(inst.profits[row_out][state.coverage[row_out] == 1].sum())
     leaving = set(row_out.tolist())
     gained = sum(
@@ -161,7 +175,7 @@ def reference_candidates(state, tabu, thresholds):
 
 def brute_force_value(inst):
     """Optimal objective by plain subset enumeration; m up to ~15."""
-    rows = [frozenset(r.tolist()) for r in inst.rows]
+    rows = [frozenset(row_of(inst, i).tolist()) for i in range(inst.m)]
     weights = inst.weights.tolist()
     profits = inst.profits.tolist()
     best = 0

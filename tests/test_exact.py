@@ -5,7 +5,7 @@ import pytest
 
 import bmcp
 from bmcp import ConfigError
-from conftest import brute_force_value, make_instance
+from conftest import brute_force_value, csr, make_instance
 
 
 def test_tiny_optimum(tiny):
@@ -51,7 +51,7 @@ def test_degenerate_capacity():
         weights=np.array([5, 6]),
         profits=np.array([3, 4]),
         capacity=4,
-        rows=(np.array([0]), np.array([1])),
+        **csr([[0], [1]]),
     )
     objective, selection = bmcp.exact_optimum(inst)
     assert objective == 0

@@ -12,14 +12,14 @@ from hypothesis import strategies as st
 import bmcp
 from bmcp import ConfigError, FormatError, InstanceWarning
 from bmcp.instance import MAX_TOTAL
-from conftest import TINY_TEXT
+from conftest import TINY_TEXT, csr, make_instance, row_of
 
 
 def test_parse_tiny_fields(tiny):
     assert (tiny.m, tiny.n, tiny.capacity) == (3, 3, 10)
     assert tiny.weights.tolist() == [4, 5, 6]
     assert tiny.profits.tolist() == [3, 7, 2]
-    assert [r.tolist() for r in tiny.rows] == [[0, 1], [1, 2], [0, 2]]
+    assert [row_of(tiny, i).tolist() for i in range(3)] == [[0, 1], [1, 2], [0, 2]]
     assert tiny.name == "tiny1"
 
 
@@ -122,7 +122,7 @@ def test_empty_row_warns():
     text = "BMCP 1\n2 2 10\n1 1\n1 1\n0\n2 1 2\n"
     with pytest.warns(InstanceWarning, match="empty coverage"):
         inst = bmcp.parse_instance(text)
-    assert inst.rows[0].size == 0
+    assert row_of(inst, 0).size == 0
 
 
 def test_uncovered_element_warns():
@@ -132,12 +132,12 @@ def test_uncovered_element_warns():
 
 
 def test_constructor_bounds_totals():
-    rows = (np.array([0]), np.array([1]))
+    rows = csr([[0], [1]])
     # Just below the bound is accepted.
     bmcp.Instance(
         weights=np.array([1, bmcp.instance.MAX_TOTAL - 2]),
         profits=np.array([bmcp.instance.MAX_TOTAL - 2, 1]),
-        capacity=1, rows=rows,
+        capacity=1, **rows,
     )
     for weights, profits in [
         ([1 << 61, 1 << 61], [1, 1]),
@@ -145,32 +145,56 @@ def test_constructor_bounds_totals():
         ([1, 1], [1, 1 << 63]),
     ]:
         with pytest.raises(ValueError, match="total|int64"):
-            bmcp.Instance(
-                weights=weights, profits=profits, capacity=1, rows=rows
-            )
+            bmcp.Instance(weights=weights, profits=profits, capacity=1, **rows)
 
 
 @pytest.mark.parametrize(
-    "field,kwargs",
+    "message,kwargs",
     [
-        ("weights", dict(weights=[1.5, 2.7])),
-        ("weights", dict(weights=np.array([True, True]))),
-        ("profits", dict(profits=[3.9])),
-        ("capacity", dict(capacity=1.9)),
-        ("item 0", dict(rows=([0.9], [0]))),
+        ("weights must be integers", dict(weights=[1.5, 2.7])),
+        ("weights must be integers", dict(weights=np.array([True, True]))),
+        ("profits must be integers", dict(profits=[3.9])),
+        ("capacity must be an integer", dict(capacity=1.9)),
+        ("indices must be integers", dict(indices=[0.9, 0])),
+        ("indptr must be integers", dict(indptr=[0.0, 1.0, 2.0])),
+        (r"indptr must have shape \(3,\)", dict(indptr=[0, 2])),
+        (r"indptr must have shape \(3,\)", dict(indptr=[[0, 1, 2]])),
+        ("indptr must run from 0", dict(indptr=[1, 1, 2])),
+        ("indptr must run from 0 to indices.size = 2", dict(indptr=[0, 1, 1])),
+        ("indptr decreases", dict(indptr=[0, 3, 2])),
+        ("indices must be 1-d", dict(indices=[[0], [0]])),
     ],
-    ids=["float_weights", "bool_weights", "float_profits", "float_capacity", "float_row"],
+    ids=[
+        "float_weights", "bool_weights", "float_profits", "float_capacity", "float_row",
+        "float_indptr", "short_indptr", "2d_indptr", "indptr_start", "indptr_end",
+        "indptr_decrease", "2d_indices",
+    ],
 )
-def test_constructor_rejects_non_integers(field, kwargs):
-    data = dict(weights=[1, 2], profits=[3], capacity=1, rows=([0], [0]))
-    with pytest.raises(ValueError, match=field):
+def test_constructor_rejects_non_integers(message, kwargs):
+    """Non-integer data and malformed CSR shapes are rejected."""
+    data = dict(weights=[1, 2], profits=[3], capacity=1, **csr([[0], [0]]))
+    with pytest.raises(ValueError, match=message):
         bmcp.Instance(**{**data, **kwargs})
-    # An empty row reads as float64 and stays legal.
-    bmcp.Instance(**{**data, "rows": ([], [0])})
+    # An empty incidence reads as float64 and stays legal.
+    bmcp.Instance(**{**data, "indptr": [0, 0, 0], "indices": []})
+
+
+def test_constructor_owns_its_arrays(tiny):
+    given = dict(
+        weights=np.array([4, 5, 6]),
+        profits=np.array([3, 7, 2]),
+        **csr([[0, 1], [1, 2], [0, 2]]),
+    )
+    views = [arr[:] for arr in given.values()]
+    inst = bmcp.Instance(capacity=10, **given)
+    for arr, view in zip(given.values(), views):
+        assert arr.flags.writeable
+        view[0] = 1000
+    assert inst == tiny
 
 
 def test_density(tiny):
-    assert tiny.density == pytest.approx(6 / 9)
+    assert tiny.indices.size / (tiny.m * tiny.n) == pytest.approx(6 / 9)
 
 
 def test_incidence_matches_rows(tiny):
@@ -179,19 +203,23 @@ def test_incidence_matches_rows(tiny):
     assert tiny.incidence.dtype == np.int64
 
 
-def test_copies_take_their_own_scan_addresses(tiny):
-    original = tiny.scan_addresses
-    for other in (pickle.loads(pickle.dumps(tiny)), copy.deepcopy(tiny)):
+def test_copies_take_their_own_scan_addresses():
+    inst = make_instance(30, 40, 0.1, 0.3, seed=2)
+    original = inst.scan_addresses  # builds inst.csc
+    fields = (inst.weights, inst.profits, inst.indptr, inst.indices)
+    assert len(pickle.dumps(inst)) <= sum(a.nbytes for a in fields) + 1024
+    for other in (pickle.loads(pickle.dumps(inst)), copy.deepcopy(inst)):
+        assert other == inst and other.name == inst.name
         arrays = (other.indptr, other.indices, *other.csc, other.profits, other.weights)
+        assert not any(a.flags.writeable for a in arrays)
         assert other.scan_addresses == tuple(a.ctypes.data for a in arrays)
         assert set(other.scan_addresses).isdisjoint(original)
 
 
 def test_arrays_read_only(tiny):
-    with pytest.raises(ValueError):
-        tiny.weights[0] = 9
-    with pytest.raises(ValueError):
-        tiny.rows[0][0] = 2
+    for arr in (tiny.weights, tiny.profits, tiny.indptr, tiny.indices):
+        with pytest.raises(ValueError):
+            arr[0] = 9
 
 
 def test_selection_helpers(tiny):
@@ -251,10 +279,10 @@ class TestGenerator:
         # Density this low leaves most rows and columns empty before repair.
         spec = bmcp.GeneratorSpec(m=50, n=50, density=0.002, capacity=100, seed=3)
         inst = bmcp.generate_instance(spec)
-        assert all(r.size >= 1 for r in inst.rows)
+        assert all(row_of(inst, i).size >= 1 for i in range(inst.m))
         covered = np.zeros(inst.n, dtype=bool)
-        for row in inst.rows:
-            covered[row] = True
+        for i in range(inst.m):
+            covered[row_of(inst, i)] = True
         assert covered.all()
 
     def test_chunked_draws_keep_the_one_call_bits(self):
@@ -279,7 +307,8 @@ class TestGenerator:
     def test_realized_density_tracks_request(self):
         spec = bmcp.GeneratorSpec(m=200, n=200, density=0.08, capacity=100, seed=5)
         inst = bmcp.generate_instance(spec)
-        assert abs(inst.density - 0.08) / 0.08 < 0.15
+        realized = inst.indices.size / (inst.m * inst.n)
+        assert abs(realized - 0.08) / 0.08 < 0.15
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -321,7 +350,7 @@ def instances(draw):
         weights=draw(st.lists(st.integers(1, 100), min_size=m, max_size=m)),
         profits=draw(st.lists(st.integers(1, 100), min_size=n, max_size=n)),
         capacity=draw(st.integers(0, 300)),
-        rows=draw(raw_rows(m, n)),
+        **csr(draw(raw_rows(m, n))),
     )
 
 
@@ -348,13 +377,14 @@ def test_text_roundtrip_property(inst):
 def test_constructor_canonicalises_rows_property(data):
     m, n = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
     rows = data.draw(raw_rows(m, n))
-    inst = bmcp.Instance(weights=[1] * m, profits=[1] * n, capacity=1, rows=rows)
+    inst = bmcp.Instance(weights=[1] * m, profits=[1] * n, capacity=1, **csr(rows))
     expected = bmcp.Instance(
         weights=[1] * m, profits=[1] * n, capacity=1,
-        rows=tuple(np.unique(np.asarray(r, dtype=np.int64)) for r in rows),
+        **csr([np.unique(np.asarray(r, dtype=np.int64)) for r in rows]),
     )
     assert inst == expected
-    for row, want in zip(inst.rows, rows):
+    for i, want in enumerate(rows):
+        row = row_of(inst, i)
         assert row.tolist() == sorted(set(want))
         assert not row.flags.writeable
     assert inst.indptr.tolist() == [0, *np.cumsum([len(set(r)) for r in rows])]
@@ -364,14 +394,13 @@ def _bound_case(label, values):
     """Instance data and text with ``values`` as the weights or profits."""
     weights = values if label == "weight" else [1]
     profits = values if label == "profit" else [1]
-    rows = tuple([0] for _ in weights)
     text = (
         f"BMCP 1\n{len(weights)} {len(profits)} 1\n"
         + " ".join(map(str, weights)) + "\n"
         + " ".join(map(str, profits)) + "\n"
         + "1 1\n" * len(weights)
     )
-    return dict(weights=weights, profits=profits, capacity=1, rows=rows), text
+    return dict(weights=weights, profits=profits, capacity=1, **csr([[0]] * len(weights))), text
 
 
 @PROPERTY

@@ -3,7 +3,7 @@ import pytest
 
 import bmcp
 from bmcp import ConfigError, ProbabilityVector, SearchState
-from conftest import make_instance
+from conftest import csr, make_instance
 
 
 def test_initial_vector_is_indifferent():
@@ -84,7 +84,7 @@ def test_drop_rate_follows_probability():
         weights=np.ones(20, dtype=np.int64),
         profits=np.ones(30, dtype=np.int64),
         capacity=5,
-        rows=tuple(np.array([j % 30]) for j in range(20)),
+        **csr([[j % 30] for j in range(20)]),
     )
     state = state_of(inst, [0, 1, 2])
     probs = np.full(20, 0.999)
@@ -104,7 +104,7 @@ def test_low_probability_items_refill():
         weights=np.ones(10, dtype=np.int64),
         profits=np.ones(10, dtype=np.int64),
         capacity=10,
-        rows=tuple(np.array([j]) for j in range(10)),
+        **csr([[j] for j in range(10)]),
     )
     state = state_of(inst, [0])
     prob = ProbabilityVector(np.full(10, 0.001), 0.5, 0.5)

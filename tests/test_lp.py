@@ -1,7 +1,7 @@
 import numpy as np
 
 import bmcp
-from conftest import make_instance, solve_lp_text
+from conftest import csr, make_instance, solve_lp_text
 
 TINY_LP = """\
 Maximize
@@ -51,7 +51,7 @@ def test_uncovered_element_row():
         weights=np.array([2]),
         profits=np.array([5, 9]),
         capacity=4,
-        rows=(np.array([0]),),
+        **csr([[0]]),
     )
     text = bmcp.export_lp(inst)
     assert " cover_2: x2 <= 0" in text.splitlines()

@@ -6,6 +6,7 @@ from bmcp import ConfigError, Flip, SearchState, Swap, TabuList
 from bmcp.tabu import TsParams, _compiled_candidates
 from conftest import (
     TINY_TEXT,
+    csr,
     make_instance,
     move_code,
     move_delta,
@@ -228,7 +229,7 @@ def test_tabu_search_updates_probabilities(tiny):
 def test_tabu_search_halts_without_moves():
     inst = bmcp.Instance(
         weights=np.array([5]), profits=np.array([1]), capacity=4,
-        rows=(np.array([0]),),
+        **csr([[0]]),
     )
     best, _ = bmcp.tabu_search(
         SearchState.from_selection(inst, np.zeros(inst.m, dtype=bool)),
@@ -245,7 +246,7 @@ def _instance_with_gaps():
         weights=np.array([3, 2, 4, 1, 5, 2]),
         profits=np.array([5, 7, 1, 9, 4, 6, 8]),
         capacity=9,
-        rows=([0, 1], [], [1, 2, 3], [3], [], [0, 2, 4]),
+        **csr([[0, 1], [], [1, 2, 3], [3], [], [0, 2, 4]]),
     )
 
 
@@ -258,7 +259,8 @@ def _instance_near_2_58():
         weights=base.weights,
         profits=(1 << 58) + rng.integers(0, 50, size=base.n),
         capacity=base.capacity,
-        rows=base.rows,
+        indptr=base.indptr,
+        indices=base.indices,
     )
 
 
