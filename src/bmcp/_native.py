@@ -1,11 +1,12 @@
-"""Loader of the compiled move scan in ``_scan.c``.
+"""Loader of the compiled search core in ``_scan.c``.
 
-``kernel`` is the C function ``bmcp_scan``, the only move scan of
-:mod:`bmcp.tabu`. The first read of ``kernel`` builds ``_scan.c`` with the
-interpreter's C compiler (``sysconfig``'s ``CC``) into the package's
-``__pycache__``, named after a hash of the source, the compiler command,
-the flags and the platform, so a later process loads the cached library
-without compiling. No compiler, a failed compile or a library that does not
+``lib`` is the loaded library: ``lib.bmcp_scan`` is the only move scan of
+:mod:`bmcp.tabu`, and ``lib.bmcp_flip`` applies every flip of
+:class:`bmcp.state.SearchState`. The first read of ``lib`` builds
+``_scan.c`` with the interpreter's C compiler (``sysconfig``'s ``CC``) into
+the package's ``__pycache__``, named after a hash of the source, the
+compiler command, the flags and the platform, so a later process loads the
+cached library without compiling. No compiler, a failed compile or a library that does not
 load raise :class:`bmcp.errors.BuildError`; the next read tries again.
 """
 
@@ -57,17 +58,21 @@ def _compile(cc: list[str], target: Path) -> None:
 
 
 def _open(path: Path):
-    fn = ctypes.CDLL(str(path)).bmcp_scan
+    lib = ctypes.CDLL(str(path))
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    # m; the instance's 6 arrays, selection, coverage, expiry; iteration,
-    # headroom, threshold, swaps_only; the candidate and best-delta outputs.
-    fn.argtypes = [i64, *[ptr] * 9, i64, i64, i64, i64, ptr, ptr]
-    fn.restype = i64
-    return fn
+    # m; the instance's 7 arrays; selection, coverage, value, expiry;
+    # iteration, headroom, threshold, swaps_only; the tie buffer, its
+    # capacity and the best-delta output.
+    lib.bmcp_scan.argtypes = [i64, *[ptr] * 11, i64, i64, i64, i64, ptr, i64, ptr]
+    # item; indptr, indices, colptr, colitems, profits; selection, coverage, value.
+    lib.bmcp_flip.argtypes = [i64, *[ptr] * 8]
+    for fn in (lib.bmcp_scan, lib.bmcp_flip):
+        fn.restype = i64
+    return lib
 
 
 def load():
-    """The compiled ``bmcp_scan``, built if needed; :class:`BuildError` if not."""
+    """The compiled library, built if needed; :class:`BuildError` if not."""
     cc = [sysconfig.get_config_var("CC") or "cc"]
     try:
         cc = _compiler()
@@ -105,7 +110,7 @@ def _load_private(cc: list[str], name: str):
 
 
 def __getattr__(name: str):
-    if name == "kernel":
-        globals()["kernel"] = kernel = load()
-        return kernel
+    if name == "lib":
+        globals()["lib"] = lib = load()
+        return lib
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -130,16 +130,26 @@ class Instance:
         return sp.csr_array((data, self.indices, self.indptr), shape=(self.m, self.n))
 
     @cached_property
+    def order(self) -> np.ndarray:
+        """The items sorted by (weight, item), read-only."""
+        order = np.argsort(self.weights, kind="stable")
+        order.flags.writeable = False
+        return order
+
+    @cached_property
     def csc(self) -> tuple[np.ndarray, np.ndarray]:
         """Column form ``(colptr, colitems)`` of the incidence, read-only.
 
         Element j is covered by the items ``colitems[colptr[j]:colptr[j + 1]]``,
-        in ascending order. The compiled move scan and
-        :func:`bmcp.lpexport.export_lp` read it.
+        sorted by (weight, item) as in :attr:`order`, so the compiled scan
+        can stop at the first item too heavy to fit. The compiled search
+        core and :func:`bmcp.lpexport.export_lp` read it.
         """
         colptr = _indptr(np.bincount(self.indices, minlength=self.n))
-        items = np.repeat(np.arange(self.m), np.diff(self.indptr))
-        colitems = items[np.argsort(self.indices, kind="stable")]
+        rank = np.empty(self.m, dtype=np.int64)
+        rank[self.order] = np.arange(self.m)
+        ranks = np.repeat(rank, np.diff(self.indptr))
+        colitems = self.order[ranks[np.lexsort((ranks, self.indices))]]
         for arr in (colptr, colitems):
             arr.flags.writeable = False
         return colptr, colitems
@@ -147,11 +157,11 @@ class Instance:
     @cached_property
     def scan_addresses(self) -> tuple[int, ...]:
         """Addresses of ``indptr``, ``indices``, the two ``csc`` arrays,
-        ``profits`` and ``weights``, for the compiled move scan.
+        ``profits``, ``weights`` and ``order``, for the compiled search core.
 
         Each is a contiguous int64 array the instance holds for its lifetime.
         """
-        arrays = (self.indptr, self.indices, *self.csc, self.profits, self.weights)
+        arrays = (self.indptr, self.indices, *self.csc, self.profits, self.weights, self.order)
         return tuple(arr.ctypes.data for arr in arrays)
 
     def __reduce__(self):

@@ -35,7 +35,11 @@ def _sum_terms(coefficients: list[int], var: str) -> list[str]:
 
 
 def export_lp(inst: Instance) -> str:
-    """The program of ``inst`` as LP text, rendered from its arrays and ``csc``."""
+    """The program of ``inst`` as LP text, rendered from its arrays and ``csc``.
+
+    Each cover row lists its items in ascending order (``csc`` keeps them by
+    weight).
+    """
     colptr, colitems = inst.csc
     bounds = colptr.tolist()
     covering = (colitems + 1).tolist()
@@ -45,7 +49,7 @@ def export_lp(inst: Instance) -> str:
     cap_terms = _sum_terms(inst.weights.tolist(), "y")
     lines.extend(_wrap_row("capacity", cap_terms, f"<= {inst.capacity}"))
     for j in range(inst.n):
-        terms = [f"x{j + 1}"] + [f"- y{i}" for i in covering[bounds[j] : bounds[j + 1]]]
+        terms = [f"x{j + 1}"] + [f"- y{i}" for i in sorted(covering[bounds[j] : bounds[j + 1]])]
         lines.extend(_wrap_row(f"cover_{j + 1}", terms, "<= 0"))
     lines.append("Binary")
     names = [f"y{i + 1}" for i in range(inst.m)]

@@ -10,7 +10,9 @@ are broken uniformly at random.
 
 Every move delta is computed in int64 from the instance's incidence, with
 no float step. Each pick is one pass of the compiled scan in ``_scan.c``,
-which :mod:`bmcp._native` builds on first use.
+which :mod:`bmcp._native` builds on first use. The scan reads the move
+values the :class:`~bmcp.state.SearchState` keeps, and for each leaving
+item walks only the entering items light enough to fit.
 :data:`bmcp.instance.MAX_TOTAL` bounds the instance totals so that no
 intermediate can overflow.
 """
@@ -67,22 +69,39 @@ class TabuList:
     An item marked at iteration t stays tabu through iteration t + tenure
     and is admissible again from t + tenure + 1. Iterations start at 1 so a
     fresh list (expiry all zero) marks nothing tabu.
+
+    Each search owns its list, so the list also holds the scan's reused tie
+    buffer. ``expiry`` is fixed for the list's life: the scan reads it
+    through an address taken once.
     """
 
-    __slots__ = ("expiry", "tenure", "iteration")
+    __slots__ = ("_expiry", "tenure", "iteration", "_ties", "addresses")
 
     def __init__(self, item_count: int, tenure: int):
-        self.expiry = np.zeros(item_count, dtype=np.int64)
+        self._expiry = np.zeros(item_count, dtype=np.int64)
         # The expiry is int64. No phase runs MAX_TOTAL iterations, so
         # clamping there changes no move.
         self.tenure = min(tenure, MAX_TOTAL)
         self.iteration = 1
+        self._reserve(item_count)
+
+    @property
+    def expiry(self) -> np.ndarray:
+        """Iteration through which each item stays tabu, int64 (m,)."""
+        return self._expiry
+
+    def _reserve(self, capacity: int) -> None:
+        """A tie buffer with room for ``capacity`` moves after the best delta."""
+        self._ties = np.empty(1 + capacity, dtype=np.int64)
+        ties = self._ties.ctypes.data
+        #: Addresses of ``expiry``, the best delta and the tied moves.
+        self.addresses = (self._expiry.ctypes.data, ties, ties + 8)
 
     def advance(self) -> None:
         self.iteration += 1
 
     def mark(self, *items: int) -> None:
-        self.expiry[list(items)] = self.iteration + self.tenure
+        self._expiry[list(items)] = self.iteration + self.tenure
 
 
 def _compiled_candidates(
@@ -90,37 +109,32 @@ def _compiled_candidates(
 ) -> tuple[np.ndarray, int]:
     """Every admissible move at the best delta, in scan order, and that delta.
 
-    One pass of :data:`bmcp._native.kernel`; ``_scan.c`` documents the scan
-    order and the item codes the moves come as, which :func:`_move` decodes.
-    Admissible: feasible and either non-tabu or past the aspiration bar,
-    ``delta > threshold``. ``swaps_only`` leaves the flips out.
+    One pass of ``bmcp_scan`` from :data:`bmcp._native.lib`; ``_scan.c``
+    documents the scan order and the item codes the moves come as, which
+    :func:`_move` decodes. Admissible: feasible and either non-tabu or past
+    the aspiration bar, ``delta > threshold``. ``swaps_only`` leaves the
+    flips out. When the ties overflow the tabu list's buffer, it grows and
+    the scan runs again.
     """
     inst = state.instance
-    sel, cov, expiry = state.selection, state.coverage, tabu.expiry
-    # The kernel reads raw buffers, so their types and sizes are checked.
-    for arr, dtype, size in (
-        (sel, np.bool_, inst.m), (cov, np.int64, inst.n), (expiry, np.int64, inst.m)
-    ):
-        if arr.dtype != dtype or arr.size != size or not arr.flags.c_contiguous:
-            raise ValueError(
-                f"scan input {arr.dtype} {arr.shape} is not contiguous {dtype} ({size},)"
-            )
     # ctypes wraps ints to int64 silently. No weight difference or delta
     # reaches MAX_TOTAL, so clamping there changes no comparison.
     headroom = min(inst.capacity - state.total_weight, MAX_TOTAL)
     threshold = max(-MAX_TOTAL, min(threshold, MAX_TOTAL))
-    s = int(np.count_nonzero(sel))
-    # The best delta, then room for every candidate.
-    buf = np.empty(1 + inst.m + s * (inst.m - s), dtype=np.int64)
-    best = buf.ctypes.data
-    count = _native.kernel(
-        inst.m, *inst.scan_addresses, sel.ctypes.data, cov.ctypes.data,
-        expiry.ctypes.data, tabu.iteration, headroom, threshold, swaps_only,
-        best + 8, best,
-    )
-    if count < 0:
-        raise MemoryError("move scan could not allocate its scratch space")
-    return buf[1 : 1 + count], int(buf[0])
+    if tabu.expiry.size != inst.m:
+        raise ValueError(f"tabu list of {tabu.expiry.size} items for {inst.m} items")
+    while True:
+        capacity = tabu._ties.size - 1
+        expiry, best, moves = tabu.addresses
+        count = _native.lib.bmcp_scan(
+            inst.m, *inst.scan_addresses, *state.addresses, expiry, tabu.iteration,
+            headroom, threshold, swaps_only, moves, capacity, best,
+        )
+        if count < 0:
+            raise MemoryError("move scan could not allocate its scratch space")
+        if count <= capacity:
+            return tabu._ties[1 : 1 + count].copy(), int(tabu._ties[0])
+        tabu._reserve(max(count, 2 * capacity))
 
 
 def _move(m: int, code: int) -> Move:

@@ -278,8 +278,8 @@ def test_format_row_quotes_only_names_that_need_it():
 
 @pytest.fixture
 def no_compiler(tmp_path, monkeypatch):
-    """No kernel loaded yet, an empty cache and a compiler that is missing."""
-    monkeypatch.delattr(_native, "kernel", raising=False)
+    """No library loaded yet, an empty cache and a compiler that is missing."""
+    monkeypatch.delattr(_native, "lib", raising=False)
     monkeypatch.setattr(_native, "CACHE_DIR", tmp_path / "cache")
     monkeypatch.setattr(_native, "_compiler", lambda: ["bmcp-no-such-compiler"])
 

@@ -205,12 +205,14 @@ def test_incidence_matches_rows(tiny):
 
 def test_copies_take_their_own_scan_addresses():
     inst = make_instance(30, 40, 0.1, 0.3, seed=2)
-    original = inst.scan_addresses  # builds inst.csc
+    original = inst.scan_addresses  # builds inst.csc and inst.order
     fields = (inst.weights, inst.profits, inst.indptr, inst.indices)
     assert len(pickle.dumps(inst)) <= sum(a.nbytes for a in fields) + 1024
     for other in (pickle.loads(pickle.dumps(inst)), copy.deepcopy(inst)):
         assert other == inst and other.name == inst.name
-        arrays = (other.indptr, other.indices, *other.csc, other.profits, other.weights)
+        arrays = (
+            other.indptr, other.indices, *other.csc, other.profits, other.weights, other.order
+        )
         assert not any(a.flags.writeable for a in arrays)
         assert other.scan_addresses == tuple(a.ctypes.data for a in arrays)
         assert set(other.scan_addresses).isdisjoint(original)

@@ -66,16 +66,17 @@ def test_kernel_source_compiles_without_warnings(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
-# Runs in a fresh interpreter with the sanitized library as the kernel.
-UNDER_UBSAN = """
+# Runs in a fresh interpreter with the sanitized library as the compiled core.
+UNDER_SANITIZER = """
     import sys
     from pathlib import Path
 
     from bmcp import _native
 
-    _native.kernel = _native._open(Path(sys.argv[1]))
+    _native.lib = _native._open(Path(sys.argv[1]))
 
     import test_solver
+    import test_state
     import test_tabu
 
     test_tabu.test_scan_matches_scalar_reference(
@@ -84,23 +85,46 @@ UNDER_UBSAN = """
     test_tabu.test_scan_matches_scalar_reference(
         lambda: [(s, t, [best]) for s, t, best, _ in test_tabu._edge_cases().values()]
     )
+    test_tabu.test_edge_cases_have_the_named_tie_sets()
+    test_tabu.test_ties_beyond_the_buffer_are_all_returned()
+    test_state.test_random_walk_matches_rebuild()
     test_solver.test_rounds_mode_replays_pinned_moves(*test_solver.REPLAY_PINS[0])
 """
 
 
-def test_kernel_runs_clean_under_ubsan(tmp_path):
-    library = tmp_path / "scan_ubsan.so"
-    flags = ["-O1", "-g", "-shared", "-fPIC", "-std=c99", "-fsanitize=undefined"]
+def _run_sanitized(tmp_path, sanitizer, env=()):
+    """Build ``_scan.c`` with ``-fsanitize=<sanitizer>`` and run the harness."""
+    library = tmp_path / f"scan_{sanitizer}.so"
+    flags = ["-O1", "-g", "-shared", "-fPIC", "-std=c99", f"-fsanitize={sanitizer}"]
     build = subprocess.run(
         [*_native._compiler(), *flags, "-o", str(library), str(_native.SOURCE)],
         capture_output=True, text=True,
     )
     if build.returncode != 0:
-        pytest.skip(f"no UBSan build: {build.stderr.strip()[:200]}")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
-    done = subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(UNDER_UBSAN), str(library)],
+        pytest.skip(f"no {sanitizer} build: {build.stderr.strip()[:200]}")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p), **dict(env))
+    return subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(UNDER_SANITIZER), str(library)],
         capture_output=True, text=True, env=env, timeout=300,
     )
+
+
+def test_kernel_runs_clean_under_ubsan(tmp_path):
+    done = _run_sanitized(tmp_path, "undefined")
     assert done.returncode == 0, done.stderr
     assert "runtime error" not in done.stderr, done.stderr
+
+
+def test_kernel_runs_clean_under_asan(tmp_path):
+    # The interpreter is not built with ASan, so the runtime is preloaded.
+    runtime = subprocess.run(
+        [*_native._compiler(), "-print-file-name=libasan.so"],
+        capture_output=True, text=True,
+    ).stdout.strip()
+    if not os.path.isabs(runtime) or not os.path.exists(runtime):
+        pytest.skip("no libasan")
+    done = _run_sanitized(
+        tmp_path, "address", {"LD_PRELOAD": runtime, "ASAN_OPTIONS": "detect_leaks=0"}
+    )
+    assert done.returncode == 0, done.stderr
+    assert "AddressSanitizer" not in done.stderr, done.stderr

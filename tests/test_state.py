@@ -3,7 +3,7 @@ import pytest
 
 import bmcp
 from bmcp import Flip, InfeasibleError, SearchState, Swap
-from conftest import make_instance, move_delta, rebuild, swap_delta
+from conftest import flip_delta, make_instance, move_delta, rebuild, swap_delta
 
 
 def state_of(inst, items):
@@ -58,6 +58,26 @@ def test_swap_preconditions(tiny):
         s.apply(Swap(1, 2))
 
 
+@pytest.mark.parametrize("move", [Flip(3), Flip(-1), Swap(0, 3), Swap(-3, 1)])
+def test_apply_rejects_items_out_of_range(tiny, move):
+    s = state_of(tiny, [0])
+    with pytest.raises(ValueError, match="out of range"):
+        s.apply(move)
+    assert s.coverage.tolist() == [1, 1, 0] and s.objective == 10
+
+
+def test_state_arrays_cannot_be_rebound(tiny):
+    # The compiled core holds their addresses for the state's life.
+    s = state_of(tiny, [0])
+    for name in ("selection", "coverage", "value"):
+        with pytest.raises(AttributeError):
+            setattr(s, name, getattr(s, name).copy())
+    bad = SearchState(tiny, s.selection.copy(), s.coverage.astype(np.int32), s.value.copy(), 4, 10)
+    with pytest.raises(ValueError, match="int64"):
+        bad.apply(Flip(1))
+    assert bad.selection.tolist() == [True, False, False] and bad.total_weight == 4
+
+
 def test_apply_flip_and_swap(tiny):
     s = state_of(tiny, [0])
     s.apply(Flip(1))
@@ -84,10 +104,16 @@ def test_copy_is_independent(tiny):
     assert c.objective == 10 and np.flatnonzero(c.selection).tolist() == [0]
 
 
+def rebuilt_values(state):
+    """Each item's move value from its scalar flip delta."""
+    return [abs(flip_delta(state, i).objective) for i in range(state.instance.m)]
+
+
 def test_random_walk_matches_rebuild():
     inst = make_instance(30, 40, 0.12, 0.45, seed=3)
     rng = np.random.default_rng(17)
     state = SearchState.from_selection(inst, np.zeros(inst.m, dtype=bool))
+    copies = []
     applied = 0
     while applied < 400:
         if rng.random() < 0.6:
@@ -113,3 +139,9 @@ def test_random_walk_matches_rebuild():
         assert state.objective == objective
         assert state.objective == before + delta.objective
         assert state.total_weight <= inst.capacity
+        assert state.value.tolist() == rebuilt_values(state)
+        if applied % 50 == 0:
+            copies.append((state.copy(), rebuilt_values(state)))
+    for copied, values in copies:
+        assert not np.shares_memory(copied.value, state.value)
+        assert copied.value.tolist() == values == rebuilt_values(copied)

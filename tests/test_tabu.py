@@ -282,15 +282,37 @@ def _random_cases(inst):
         yield state, tabu, [state.objective + slack for slack in (-3, 0, 3, 10**6)]
 
 
+def _one_element_each(weights, profits, capacity):
+    """Instance where item i alone covers element i."""
+    return bmcp.Instance(
+        weights=np.array(weights), profits=np.array(profits), capacity=capacity,
+        **csr([[i] for i in range(len(weights))]),
+    )
+
+
 def _edge_cases():
-    """Named (state, tabu list, best so far, tie set) cases on the tiny
-    fixture; ties are the scan's move codes, here the items of flips."""
+    """Named (state, tabu list, best so far, tie set) cases; ties are the
+    scan's move codes: a flip's item, or m + m*a + b for the swap of a for b
+    (on three items, 3 + 3a + b)."""
     tiny = bmcp.parse_instance(TINY_TEXT)
     roomy = bmcp.parse_instance(TINY_TEXT.replace("3 3 10", "3 3 15"))
     # Headroom and threshold beyond int64, which must not wrap.
     vast = bmcp.parse_instance(TINY_TEXT.replace("3 3 10", f"3 3 {2**64 + 3}"))
     free = np.zeros(3, dtype=np.int64)
+    # Swapping 0 for 1 or for 2 gains 4; the lighter item 2 comes second.
+    lighter_later = _one_element_each([5, 4, 3], [1, 5, 5], capacity=5)
+    # Swapping 0 or 1 for 2 gains 4.
+    two_leaving = _one_element_each([2, 2, 2], [1, 1, 5], capacity=4)
+    # Flipping 1 in and swapping 0 for 2 both gain 3.
+    flip_and_swap = _one_element_each([1, 1, 2], [2, 3, 5], capacity=2)
     return {
+        "swaps tied, lighter item later": (
+            state_of(lighter_later, [0]), _tabu(3, free, 1), 1, [4, 5]
+        ),
+        "swaps tied, two leaving items": (
+            state_of(two_leaving, [0, 1]), _tabu(3, free, 1), 2, [5, 8]
+        ),
+        "flip tied with swap": (state_of(flip_and_swap, [0]), _tabu(3, free, 1), 2, [1, 5]),
         "s=0": (state_of(tiny, []), _tabu(3, free, 1), 0, [0]),
         "u=0": (state_of(roomy, [0, 1, 2]), _tabu(3, free, 1), 12, [0, 1, 2]),
         "none admissible": (state_of(tiny, [0]), _tabu(3, [5, 5, 5], 2), 13, []),
@@ -357,6 +379,25 @@ def test_edge_cases_have_the_named_tie_sets():
         got, _ = _compiled_candidates(state, tabu, threshold, False)
         want, _ = reference_candidates(state, tabu, [threshold])[threshold, False]
         assert got.tolist() == want == ties, name
+
+
+def test_ties_beyond_the_buffer_are_all_returned():
+    # Equal profits and weights on disjoint rows, no room to flip in: all
+    # 6 * 6 swaps tie at 0, more than the 12 moves the buffer starts with.
+    inst = _one_element_each([1] * 12, [7] * 12, capacity=6)
+    state = state_of(inst, range(6))
+    for swaps_only in (False, True):
+        tabu = TabuList(inst.m, 1)
+        want = reference_candidates(state, tabu, [0])[0, swaps_only]
+        assert len(want[0]) == 36
+        for _ in range(2):  # grown, then reused
+            got, best = _compiled_candidates(state, tabu, 0, swaps_only)
+            assert (got.tolist(), best) == want
+
+
+def test_scan_rejects_a_tabu_list_of_another_size(tiny):
+    with pytest.raises(ValueError, match="tabu list of 2 items for 3 items"):
+        _compiled_candidates(state_of(tiny, [0]), TabuList(2, 1), 0, False)
 
 
 def test_tabu_search_respects_deadline():
