@@ -36,7 +36,6 @@ from .state import Flip, Move, SearchState, Swap
 from .stats import wilcoxon_signed_rank
 from .tabu import (
     TabuList,
-    TsParams,
     descent_local_search,
     initial_solution,
     random_fill,

@@ -1,13 +1,18 @@
-"""Loader of the compiled search core in ``_scan.c``.
+"""Loader of the compiled search core in ``_scan.c``, and its two structs.
 
 ``lib`` is the loaded library: ``lib.bmcp_scan`` is the only move scan of
 :mod:`bmcp.tabu`, and ``lib.bmcp_flip`` applies every flip of
-:class:`bmcp.state.SearchState`. The first read of ``lib`` builds
-``_scan.c`` with the interpreter's C compiler (``sysconfig``'s ``CC``) into
-the package's ``__pycache__``, named after a hash of the source, the
-compiler command, the flags and the platform, so a later process loads the
-cached library without compiling. No compiler, a failed compile or a library that does not
-load raise :class:`bmcp.errors.BuildError`; the next read tries again.
+:class:`bmcp.state.SearchState`. Both take a :class:`State` (``bmcp_state``,
+one per search state, with a scratch ``corr`` that the scan leaves all zero);
+the scan also takes a :class:`Tabu` (``bmcp_tabu``, one per tabu list). These
+mirrors are the one place in Python that lays out the core's memory.
+
+The first read of ``lib`` builds ``_scan.c`` with the interpreter's C
+compiler (``sysconfig``'s ``CC``) into the package's ``__pycache__``, named
+after a hash of the source, the compiler command, the flags and the
+platform, so a later process loads the cached library without compiling.
+No compiler, a failed compile or a library that does not load raise
+:class:`bmcp.errors.BuildError`; the next read tries again.
 """
 
 from __future__ import annotations
@@ -29,6 +34,34 @@ SOURCE = Path(__file__).with_name("_scan.c")
 CACHE_DIR = SOURCE.parent / "__pycache__"
 FLAGS = ("-O2", "-shared", "-fPIC", "-std=c99")
 COMPILE_TIMEOUT_S = 120
+
+
+class _Struct(ctypes.Structure):
+    """A struct filled from keyword fields: an int as it is, an array as its
+    address. ``arrays`` keeps each array alive for the struct's life."""
+
+    def __init__(self, **fields):
+        self.arrays = {k: v for k, v in fields.items() if not isinstance(v, int)}
+        super().__init__(**{k: v.ctypes.data if k in self.arrays else v
+                            for k, v in fields.items()})
+
+
+class State(_Struct):
+    """``bmcp_state``: the instance's arrays and one search state's."""
+
+    _fields_ = [("m", ctypes.c_int64), *((name, ctypes.c_void_p) for name in (
+        "indptr", "indices", "colptr", "colitems", "profits", "weights", "order",
+        "selection", "coverage", "value", "corr",
+    ))]
+
+
+class Tabu(_Struct):
+    """``bmcp_tabu``: one tabu list's expiry and its tie buffer."""
+
+    _fields_ = [
+        ("expiry", ctypes.c_void_p), ("ties", ctypes.c_void_p),
+        ("capacity", ctypes.c_int64), ("best", ctypes.c_int64),
+    ]
 
 
 def _compiler() -> list[str]:
@@ -59,13 +92,10 @@ def _compile(cc: list[str], target: Path) -> None:
 
 def _open(path: Path):
     lib = ctypes.CDLL(str(path))
-    i64, ptr = ctypes.c_int64, ctypes.c_void_p
-    # m; the instance's 7 arrays; selection, coverage, value, expiry;
-    # iteration, headroom, threshold, swaps_only; the tie buffer, its
-    # capacity and the best-delta output.
-    lib.bmcp_scan.argtypes = [i64, *[ptr] * 11, i64, i64, i64, i64, ptr, i64, ptr]
-    # item; indptr, indices, colptr, colitems, profits; selection, coverage, value.
-    lib.bmcp_flip.argtypes = [i64, *[ptr] * 8]
+    i64 = ctypes.c_int64
+    # Then iteration, headroom, threshold and swaps_only.
+    lib.bmcp_scan.argtypes = [ctypes.POINTER(State), ctypes.POINTER(Tabu), i64, i64, i64, i64]
+    lib.bmcp_flip.argtypes = [ctypes.POINTER(State), i64]
     for fn in (lib.bmcp_scan, lib.bmcp_flip):
         fn.restype = i64
     return lib

@@ -6,6 +6,10 @@
  * it out (the profit of the elements it covers alone). `bmcp_flip` updates
  * all three on every flip; `bmcp_scan` reads them.
  *
+ * It reads two structs, each filled once by the object whose memory it
+ * describes: `bmcp_state` (the instance's and one search state's arrays) and
+ * `bmcp_tabu` (a tabu list's expiry and ties), as a state outlives its lists.
+ *
  * The instance comes with `order`, its items sorted by (weight, item), and
  * its columns: element e is covered by colitems[colptr[e]..colptr[e+1]],
  * also sorted by (weight, item), so a walk over the items light enough to
@@ -13,10 +17,24 @@
  *
  * All arithmetic is int64. Weight and profit totals stay below 2^62, so
  * every value, gain + correction (disjoint element sets) and every delta,
- * formed as (gain - loss) + correction, fits.
+ * formed as (gain - loss) + correction, fits. The core allocates nothing.
  */
 #include <stdint.h>
 #include <stdlib.h>
+
+typedef struct {
+    int64_t m;
+    const int64_t *indptr, *indices, *colptr, *colitems;
+    const int64_t *profits, *weights, *order;
+    uint8_t *selection;
+    int64_t *coverage, *value, *corr; /* corr: m words, all zero between scans */
+} bmcp_state;
+
+typedef struct {
+    const int64_t *expiry;
+    int64_t *ties;
+    int64_t capacity, best; /* room in ties; the best delta of the last scan */
+} bmcp_tabu;
 
 /* Flip `item` in or out; returns the change in objective.
  *
@@ -25,38 +43,33 @@
  * of the one selected item that covers it alone (before a flip in, after a
  * flip out). The flipped item's own new value is the size of the change.
  */
-int64_t bmcp_flip(
-    int64_t item,
-    const int64_t *indptr, const int64_t *indices,
-    const int64_t *colptr, const int64_t *colitems,
-    const int64_t *profits,
-    uint8_t *selection, int64_t *coverage, int64_t *value)
+int64_t bmcp_flip(bmcp_state *s, int64_t item)
 {
-    int64_t in = selection[item] == 0, moved = 0;
-    for (int64_t k = indptr[item]; k < indptr[item + 1]; k++) {
-        int64_t e = indices[k], p = profits[e], c = coverage[e];
-        int64_t from = colptr[e], to = colptr[e + 1];
+    int64_t in = s->selection[item] == 0, moved = 0;
+    for (int64_t k = s->indptr[item]; k < s->indptr[item + 1]; k++) {
+        int64_t e = s->indices[k], p = s->profits[e], c = s->coverage[e];
+        int64_t from = s->colptr[e], to = s->colptr[e + 1];
         if (c == 1 - in) {
             /* Newly covered (in) or uncovered (out): every other item
              * covering e is unselected and gains p less, or more. */
             moved += p;
             int64_t dp = in ? -p : p;
             for (int64_t q = from; q < to; q++)
-                value[colitems[q]] += dp;
+                s->value[s->colitems[q]] += dp;
         } else if (c == 2 - in) {
             /* Covered twice after a flip in, or once after a flip out. */
             for (int64_t q = from; q < to; q++) {
-                int64_t b = colitems[q];
-                if (selection[b] & (b != item)) {
-                    value[b] += in ? -p : p;
+                int64_t b = s->colitems[q];
+                if (s->selection[b] & (b != item)) {
+                    s->value[b] += in ? -p : p;
                     break;
                 }
             }
         }
-        coverage[e] = in ? c + 1 : c - 1;
+        s->coverage[e] = in ? c + 1 : c - 1;
     }
-    selection[item] = (uint8_t)in;
-    value[item] = moved;
+    s->selection[item] = (uint8_t)in;
+    s->value[item] = moved;
     return in ? moved : -moved;
 }
 
@@ -69,32 +82,21 @@ static int by_code(const void *x, const void *y)
 /* Exact best-move scan of the flip and swap neighbourhoods, one pass per pick.
  *
  * Every admissible move whose delta equals the best admissible delta is
- * written to `out` as its items: `i` for the flip of item i (in or out),
+ * written to `t->ties` as its items: `i` for the flip of item i (in or out),
  * `m + m*a + b` for the swap of selected item a for unselected item b. The
  * order is flip-ins, flip-outs, then swaps by (a, b), each in ascending item
- * order. At most `capacity` moves are written, but all are counted, and the
- * count is returned: 0 when nothing is admissible, -1 when scratch memory
- * could not be allocated. `best_delta` receives the best delta.
+ * order. At most `t->capacity` moves are written, but all are counted, and
+ * the count is returned (0 when nothing is admissible). `t->best` receives
+ * the best delta.
  *
  * For each selected a, only the entering items no heavier than
  * headroom + w[a] are walked, in (weight, item) order; the swap ties are
  * sorted back into code order at the end.
  */
-int64_t bmcp_scan(
-    int64_t m,
-    const int64_t *indptr, const int64_t *indices,
-    const int64_t *colptr, const int64_t *colitems,
-    const int64_t *profits, const int64_t *weights, const int64_t *order,
-    const uint8_t *selection, const int64_t *coverage, const int64_t *value,
-    const int64_t *expiry, int64_t iteration,
-    int64_t headroom, int64_t threshold, int64_t swaps_only,
-    int64_t *out, int64_t capacity, int64_t *best_delta)
+int64_t bmcp_scan(const bmcp_state *s, bmcp_tabu *t, int64_t iteration,
+                  int64_t headroom, int64_t threshold, int64_t swaps_only)
 {
-    /* corr[b]: the correction of swapping b in for the current a. It is
-     * all zero between leaving items: the pair loop clears what it reads. */
-    int64_t *corr = calloc((size_t)m, sizeof(int64_t));
-    if (corr == NULL)
-        return -1;
+    const int64_t m = s->m, *expiry = t->expiry;
     int64_t best = INT64_MIN, count = 0;
 #define CONSIDER(delta, ok, code)                                   \
     do {                                                            \
@@ -104,62 +106,63 @@ int64_t bmcp_scan(
                 best = d_;                                          \
                 count = 0;                                          \
             }                                                       \
-            if (count < capacity)                                   \
-                out[count] = (code);                                \
+            if (count < t->capacity)                                \
+                t->ties[count] = (code);                            \
             count++;                                                \
         }                                                           \
     } while (0)
 
     if (!swaps_only) {
         for (int64_t b = 0; b < m; b++) {
-            int64_t d = value[b];
-            CONSIDER(d, (selection[b] == 0) & (weights[b] <= headroom)
+            int64_t d = s->value[b];
+            CONSIDER(d, (s->selection[b] == 0) & (s->weights[b] <= headroom)
                             & ((expiry[b] < iteration) | (d > threshold)), b);
         }
         for (int64_t a = 0; a < m; a++) {
-            int64_t d = -value[a];
-            CONSIDER(d, selection[a] & ((expiry[a] < iteration) | (d > threshold)), a);
+            int64_t d = -s->value[a];
+            CONSIDER(d, s->selection[a] & ((expiry[a] < iteration) | (d > threshold)), a);
         }
     }
 
     for (int64_t a = 0; a < m; a++) {
-        if (!selection[a])
+        if (!s->selection[a])
             continue;
-        int64_t limit = headroom + weights[a];
-        /* Correction: the profit of each element a covers alone goes to
-         * every item covering it, which keeps it covered when swapped in. */
-        for (int64_t k = indptr[a]; k < indptr[a + 1]; k++) {
-            int64_t e = indices[k];
-            if (coverage[e] == 1) {
-                int64_t p = profits[e];
-                for (int64_t q = colptr[e]; q < colptr[e + 1]; q++) {
-                    int64_t b = colitems[q];
-                    if (weights[b] > limit)
+        int64_t limit = headroom + s->weights[a];
+        /* corr[b], the correction of swapping b in for a: the profit of each
+         * element a covers alone goes to every item covering it. Both loops
+         * stop at the same limit in (weight, item) order, so the pair loop
+         * clears every entry this loop writes. */
+        for (int64_t k = s->indptr[a]; k < s->indptr[a + 1]; k++) {
+            int64_t e = s->indices[k];
+            if (s->coverage[e] == 1) {
+                int64_t p = s->profits[e];
+                for (int64_t q = s->colptr[e]; q < s->colptr[e + 1]; q++) {
+                    int64_t b = s->colitems[q];
+                    if (s->weights[b] > limit)
                         break;
-                    corr[b] += p;
+                    s->corr[b] += p;
                 }
             }
         }
-        int64_t loss = value[a], afree = expiry[a] < iteration, first = m + m * a;
+        int64_t loss = s->value[a], afree = expiry[a] < iteration, first = m + m * a;
         for (int64_t k = 0; k < m; k++) {
-            int64_t b = order[k];
-            if (weights[b] > limit)
+            int64_t b = s->order[k];
+            if (s->weights[b] > limit)
                 break;
-            int64_t d = (value[b] - loss) + corr[b];
-            corr[b] = 0;
+            int64_t d = (s->value[b] - loss) + s->corr[b];
+            s->corr[b] = 0;
             int64_t bfree = expiry[b] < iteration;
-            CONSIDER(d, (selection[b] == 0) & ((afree & bfree) | (d > threshold)), first + b);
+            CONSIDER(d, (s->selection[b] == 0) & ((afree & bfree) | (d > threshold)), first + b);
         }
     }
 #undef CONSIDER
-    free(corr);
 
-    if (count <= capacity) {
+    if (count <= t->capacity) {
         int64_t f = 0;
-        while (f < count && out[f] < m)
+        while (f < count && t->ties[f] < m)
             f++;
-        qsort(out + f, (size_t)(count - f), sizeof *out, by_code);
+        qsort(t->ties + f, (size_t)(count - f), sizeof *t->ties, by_code);
     }
-    *best_delta = best;
+    t->best = best;
     return count;
 }

@@ -154,20 +154,10 @@ class Instance:
             arr.flags.writeable = False
         return colptr, colitems
 
-    @cached_property
-    def scan_addresses(self) -> tuple[int, ...]:
-        """Addresses of ``indptr``, ``indices``, the two ``csc`` arrays,
-        ``profits``, ``weights`` and ``order``, for the compiled search core.
-
-        Each is a contiguous int64 array the instance holds for its lifetime.
-        """
-        arrays = (self.indptr, self.indices, *self.csc, self.profits, self.weights, self.order)
-        return tuple(arr.ctypes.data for arr in arrays)
-
     def __reduce__(self):
         # Only the six fields travel: the copy is validated and read-only
-        # again, and builds its own caches (the scan addresses hold only for
-        # these arrays in this process).
+        # again, and builds its own caches, so the states built on it point
+        # the compiled core at the copy's arrays.
         return type(self), (
             self.weights, self.profits, self.capacity, self.indptr, self.indices, self.name
         )

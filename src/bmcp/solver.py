@@ -25,7 +25,7 @@ from .learning import (
     random_perturbation,
 )
 from .state import SearchState
-from .tabu import TsParams, initial_solution, tabu_depth, tabu_search, tabu_tenure
+from .tabu import initial_solution, tabu_depth, tabu_search, tabu_tenure
 
 PERTURBATIONS = ("probability", "random")
 
@@ -81,11 +81,6 @@ class SolverConfig:
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must fit in 64 bits")
 
-    def params_for(self, inst: Instance) -> TsParams:
-        depth = self.depth if self.depth is not None else tabu_depth(inst.m)
-        tenure = self.tenure if self.tenure is not None else tabu_tenure(inst.m, inst.n)
-        return TsParams(depth=depth, tenure=tenure)
-
 
 @dataclass(frozen=True)
 class RunResult:
@@ -109,7 +104,8 @@ class BatchSummary:
 def solve(inst: Instance, cfg: SolverConfig, observer=None) -> RunResult:
     """One full run; ``observer`` sees every state the search visits."""
     rng = np.random.default_rng(cfg.seed)
-    params = cfg.params_for(inst)
+    depth = cfg.depth if cfg.depth is not None else tabu_depth(inst.m)
+    tenure = cfg.tenure if cfg.tenure is not None else tabu_tenure(inst.m, inst.n)
     started = time.perf_counter()
 
     state = initial_solution(inst, rng)
@@ -135,9 +131,7 @@ def solve(inst: Instance, cfg: SolverConfig, observer=None) -> RunResult:
             prob = ProbabilityVector.initial(
                 inst.m, cfg.reward_factor, cfg.punish_factor
             )
-        phase_best, prob = tabu_search(
-            state, prob, params, rng, observer, deadline=deadline
-        )
+        phase_best = tabu_search(state, prob, depth, tenure, rng, observer, deadline=deadline)
         rounds += 1
         if phase_best.objective > best.objective:
             best = phase_best

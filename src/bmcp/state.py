@@ -44,13 +44,12 @@ class SearchState:
     """Mutable selection plus derived quantities, one owner at a time.
 
     ``selection``, ``coverage`` and ``value`` are fixed for the state's
-    life: the compiled core writes to them through addresses taken once,
-    on its first use of the state.
+    life: the compiled core writes to them through the state's ``core``
+    struct, filled once, on its first use of the state.
     """
 
     __slots__ = (
-        "instance", "_selection", "_coverage", "_value", "total_weight", "objective",
-        "_addresses",
+        "instance", "_selection", "_coverage", "_value", "total_weight", "objective", "_core",
     )
 
     def __init__(self, instance, selection, coverage, value, total_weight, objective):
@@ -60,14 +59,13 @@ class SearchState:
         self._value = value
         self.total_weight = total_weight
         self.objective = objective
-        self._addresses = None
+        self._core = None
 
     @property
-    def addresses(self) -> tuple[int, int, int]:
-        """Addresses of ``selection``, ``coverage`` and ``value`` for the
-        compiled core, checked and taken on first use (a copy kept as a
-        record never pays for them)."""
-        if self._addresses is None:
+    def core(self) -> _native.State:
+        """The compiled core's struct, checked and filled on first use (a
+        copy kept as a record never pays for it)."""
+        if self._core is None:
             inst = self.instance
             arrays = (self._selection, self._coverage, self._value)
             expected = zip((np.bool_, np.int64, np.int64), (inst.m, inst.n, inst.m))
@@ -80,8 +78,14 @@ class SearchState:
                         f"state array {arr.dtype} {arr.shape} is not a writeable"
                         f" contiguous {np.dtype(dtype)} ({size},)"
                     )
-            self._addresses = tuple(arr.ctypes.data for arr in arrays)
-        return self._addresses
+            colptr, colitems = inst.csc
+            self._core = _native.State(
+                m=inst.m, indptr=inst.indptr, indices=inst.indices, colptr=colptr,
+                colitems=colitems, profits=inst.profits, weights=inst.weights,
+                order=inst.order, selection=self._selection, coverage=self._coverage,
+                value=self._value, corr=np.zeros(inst.m, dtype=np.int64),
+            )
+        return self._core
 
     @property
     def selection(self) -> np.ndarray:
@@ -131,9 +135,8 @@ class SearchState:
         )
 
     def _flip(self, item: int) -> None:
-        inst = self.instance
-        delta = _native.lib.bmcp_flip(item, *inst.scan_addresses[:5], *self.addresses)
-        weight = int(inst.weights[item])
+        delta = _native.lib.bmcp_flip(self.core, item)
+        weight = int(self.instance.weights[item])
         # Selected now means the item went in.
         self.total_weight += weight if self._selection[item] else -weight
         self.objective += delta

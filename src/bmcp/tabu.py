@@ -20,7 +20,6 @@ intermediate can overflow.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -51,18 +50,6 @@ def tabu_depth(m: int) -> int:
     return (1100 - m) * 20
 
 
-@dataclass(frozen=True)
-class TsParams:
-    depth: int
-    tenure: int
-
-    def __post_init__(self):
-        if self.depth < 1:
-            raise ConfigError("depth must be positive")
-        if self.tenure < 1:
-            raise ConfigError("tenure must be positive")
-
-
 class TabuList:
     """Per-item tabu expiry, advanced once per search iteration.
 
@@ -72,10 +59,10 @@ class TabuList:
 
     Each search owns its list, so the list also holds the scan's reused tie
     buffer. ``expiry`` is fixed for the list's life: the scan reads it
-    through an address taken once.
+    through the list's ``core`` struct.
     """
 
-    __slots__ = ("_expiry", "tenure", "iteration", "_ties", "addresses")
+    __slots__ = ("_expiry", "tenure", "iteration", "_ties", "core")
 
     def __init__(self, item_count: int, tenure: int):
         self._expiry = np.zeros(item_count, dtype=np.int64)
@@ -91,11 +78,9 @@ class TabuList:
         return self._expiry
 
     def _reserve(self, capacity: int) -> None:
-        """A tie buffer with room for ``capacity`` moves after the best delta."""
-        self._ties = np.empty(1 + capacity, dtype=np.int64)
-        ties = self._ties.ctypes.data
-        #: Addresses of ``expiry``, the best delta and the tied moves.
-        self.addresses = (self._expiry.ctypes.data, ties, ties + 8)
+        """A tie buffer with room for ``capacity`` moves."""
+        self._ties = np.empty(capacity, dtype=np.int64)
+        self.core = _native.Tabu(expiry=self._expiry, ties=self._ties, capacity=capacity)
 
     def advance(self) -> None:
         self.iteration += 1
@@ -124,17 +109,12 @@ def _compiled_candidates(
     if tabu.expiry.size != inst.m:
         raise ValueError(f"tabu list of {tabu.expiry.size} items for {inst.m} items")
     while True:
-        capacity = tabu._ties.size - 1
-        expiry, best, moves = tabu.addresses
         count = _native.lib.bmcp_scan(
-            inst.m, *inst.scan_addresses, *state.addresses, expiry, tabu.iteration,
-            headroom, threshold, swaps_only, moves, capacity, best,
+            state.core, tabu.core, tabu.iteration, headroom, threshold, swaps_only
         )
-        if count < 0:
-            raise MemoryError("move scan could not allocate its scratch space")
-        if count <= capacity:
-            return tabu._ties[1 : 1 + count].copy(), int(tabu._ties[0])
-        tabu._reserve(max(count, 2 * capacity))
+        if count <= tabu._ties.size:
+            return tabu._ties[:count].copy(), tabu.core.best
+        tabu._reserve(max(count, 2 * tabu._ties.size))
 
 
 def _move(m: int, code: int) -> Move:
@@ -216,12 +196,13 @@ def initial_solution(inst: Instance, rng: np.random.Generator) -> SearchState:
 def tabu_search(
     state: SearchState,
     prob: ProbabilityVector,
-    params: TsParams,
+    depth: int,
+    tenure: int,
     rng: np.random.Generator,
     observer=None,
     deadline: float | None = None,
-):
-    """Run one tabu phase from ``state``; returns (best state copy, prob).
+) -> SearchState:
+    """Run one tabu phase from ``state``; returns a copy of its best state.
 
     ``state`` is mutated as the walk proceeds. The probability vector is
     updated in place on every applied move: entering items are rewarded,
@@ -229,10 +210,10 @@ def tabu_search(
     state after every applied move. ``deadline`` (a perf_counter value)
     cuts the phase short once the wall clock passes it.
     """
-    tabu = TabuList(state.instance.m, params.tenure)
+    tabu = TabuList(state.instance.m, tenure)
     best = state.copy()
     non_improving = 0
-    while non_improving < params.depth:
+    while non_improving < depth:
         if deadline is not None and time.perf_counter() >= deadline:
             break
         move = select_move(state, tabu, best.objective, rng)
@@ -257,4 +238,4 @@ def tabu_search(
         else:
             non_improving += 1
         tabu.advance()
-    return best, prob
+    return best

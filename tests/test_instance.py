@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bmcp
-from bmcp import ConfigError, FormatError, InstanceWarning
+from bmcp import ConfigError, Flip, FormatError, InstanceWarning, SearchState, TabuList
 from bmcp.instance import MAX_TOTAL
+from bmcp.tabu import _compiled_candidates
 from conftest import TINY_TEXT, csr, make_instance, row_of
 
 
@@ -203,19 +204,35 @@ def test_incidence_matches_rows(tiny):
     assert tiny.incidence.dtype == np.int64
 
 
-def test_copies_take_their_own_scan_addresses():
+def test_states_on_copies_point_at_the_copies_arrays():
     inst = make_instance(30, 40, 0.1, 0.3, seed=2)
-    original = inst.scan_addresses  # builds inst.csc and inst.order
-    fields = (inst.weights, inst.profits, inst.indptr, inst.indices)
-    assert len(pickle.dumps(inst)) <= sum(a.nbytes for a in fields) + 1024
+    sel = bmcp.random_fill(inst, np.random.default_rng(2))
+    original = SearchState.from_selection(inst, sel)
+    fields = ("indptr", "indices", "colptr", "colitems", "profits", "weights", "order")
+    ours = {getattr(original.core, f) for f in fields}
+    sizes = (inst.weights, inst.profits, inst.indptr, inst.indices)
+    assert len(pickle.dumps(inst)) <= sum(a.nbytes for a in sizes) + 1024
     for other in (pickle.loads(pickle.dumps(inst)), copy.deepcopy(inst)):
         assert other == inst and other.name == inst.name
         arrays = (
             other.indptr, other.indices, *other.csc, other.profits, other.weights, other.order
         )
         assert not any(a.flags.writeable for a in arrays)
-        assert other.scan_addresses == tuple(a.ctypes.data for a in arrays)
-        assert set(other.scan_addresses).isdisjoint(original)
+        state = SearchState.from_selection(other, sel)
+        core = [getattr(state.core, f) for f in fields]
+        assert core == [a.ctypes.data for a in arrays]
+        assert ours.isdisjoint(core)
+        scans = [
+            _compiled_candidates(s, TabuList(inst.m, 1), 0, False)[0].tolist()
+            for s in (original, state)
+        ]
+        assert scans[0] == scans[1] and scans[0]
+        twin = original.copy()
+        for s in (twin, state):
+            s.apply(Flip(int(np.flatnonzero(sel)[0])))
+        assert state.objective == twin.objective
+        assert np.array_equal(state.value, twin.value)
+        assert np.array_equal(state.coverage, twin.coverage)
 
 
 def test_arrays_read_only(tiny):

@@ -1,3 +1,4 @@
+import ctypes
 import os
 import subprocess
 import sys
@@ -57,13 +58,38 @@ def test_unwritable_cache_builds_privately(tmp_path, monkeypatch):
 def test_kernel_source_compiles_without_warnings(tmp_path):
     strict = [
         "-std=c99", "-Wall", "-Wextra", "-pedantic", "-Wconversion",
-        "-Wsign-conversion", "-Wshadow", "-Werror", "-c",
+        "-Wsign-conversion", "-Wshadow", "-Wpadded", "-Werror", "-c",
     ]
     done = subprocess.run(
         [*_native._compiler(), *strict, "-o", str(tmp_path / "scan.o"), str(_native.SOURCE)],
         capture_output=True, text=True,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_structs_match_the_kernel_layout(tmp_path):
+    structs = {"bmcp_state": _native.State, "bmcp_tabu": _native.Tabu}
+    want, prints = {}, []
+    for name, mirror in structs.items():
+        want[name] = ctypes.sizeof(mirror)
+        prints.append(f'printf("{name} %zu\\n", sizeof({name}));')
+        for field, _ in mirror._fields_:
+            want[f"{name}.{field}"] = getattr(mirror, field).offset
+            prints.append(f'printf("{name}.{field} %zu\\n", offsetof({name}, {field}));')
+    source = tmp_path / "layout.c"
+    source.write_text(
+        f'#include <stddef.h>\n#include <stdio.h>\n#include "{_native.SOURCE}"\n'
+        "int main(void)\n{\n" + "\n".join(prints) + "\nreturn 0;\n}\n"
+    )
+    binary = tmp_path / "layout"
+    build = subprocess.run(
+        [*_native._compiler(), "-std=c99", "-o", str(binary), str(source)],
+        capture_output=True, text=True,
+    )
+    assert build.returncode == 0, build.stderr
+    shown = subprocess.run([str(binary)], capture_output=True, text=True, check=True).stdout
+    got = {key: int(size) for key, size in (line.split() for line in shown.splitlines())}
+    assert got == want
 
 
 # Runs in a fresh interpreter with the sanitized library as the compiled core.
@@ -89,6 +115,8 @@ UNDER_SANITIZER = """
     test_tabu.test_ties_beyond_the_buffer_are_all_returned()
     test_state.test_random_walk_matches_rebuild()
     test_solver.test_rounds_mode_replays_pinned_moves(*test_solver.REPLAY_PINS[0])
+    # A new state every round: a struct left on a dead state's arrays shows.
+    test_solver.test_rounds_mode_replays_pinned_moves(*test_solver.REPLAY_PINS[1])
 """
 
 

@@ -3,7 +3,7 @@ import pytest
 
 import bmcp
 from bmcp import ConfigError, Flip, SearchState, Swap, TabuList
-from bmcp.tabu import TsParams, _compiled_candidates
+from bmcp.tabu import _compiled_candidates
 from conftest import (
     TINY_TEXT,
     csr,
@@ -36,13 +36,6 @@ def test_depth_formula():
     for m in (1100, 1500):
         with pytest.raises(ConfigError):
             bmcp.tabu_depth(m)
-
-
-def test_params_validation():
-    with pytest.raises(ConfigError):
-        TsParams(depth=0, tenure=3)
-    with pytest.raises(ConfigError):
-        TsParams(depth=10, tenure=0)
 
 
 def test_tabu_window():
@@ -184,10 +177,10 @@ def test_descent_output_has_no_improving_swap():
 def test_tabu_search_finds_tiny_optimum(tiny):
     visited = []
     state = state_of(tiny, [2])
-    best, _ = bmcp.tabu_search(
+    best = bmcp.tabu_search(
         state,
         bmcp.ProbabilityVector.initial(3),
-        TsParams(depth=40, tenure=1),
+        40, 1,
         np.random.default_rng(5),
         observer=lambda s: visited.append((s.objective, s.total_weight)),
     )
@@ -203,10 +196,10 @@ def test_tabu_search_halts_when_everything_is_tabu(tiny):
     # Tenure 2 on three items locks the whole neighborhood within a few
     # marks, so the phase ends before the depth cutoff.
     visited = []
-    best, _ = bmcp.tabu_search(
+    best = bmcp.tabu_search(
         state_of(tiny, [2]),
         bmcp.ProbabilityVector.initial(3),
-        TsParams(depth=40, tenure=2),
+        40, 2,
         np.random.default_rng(5),
         observer=lambda s: visited.append(s.objective),
     )
@@ -219,7 +212,7 @@ def test_tabu_search_updates_probabilities(tiny):
     bmcp.tabu_search(
         state_of(tiny, [2]),
         prob,
-        TsParams(depth=10, tenure=2),
+        10, 2,
         np.random.default_rng(5),
     )
     assert (prob.probs != 0.5).any()
@@ -231,10 +224,10 @@ def test_tabu_search_halts_without_moves():
         weights=np.array([5]), profits=np.array([1]), capacity=4,
         **csr([[0]]),
     )
-    best, _ = bmcp.tabu_search(
+    best = bmcp.tabu_search(
         SearchState.from_selection(inst, np.zeros(inst.m, dtype=bool)),
         bmcp.ProbabilityVector.initial(1),
-        TsParams(depth=100, tenure=1),
+        100, 1,
         np.random.default_rng(0),
     )
     assert best.objective == 0
@@ -355,6 +348,7 @@ def test_scan_matches_scalar_reference(cases):
         for (threshold, swaps_only), (ties, best) in want.items():
             got, got_best = _compiled_candidates(state, tabu, threshold, swaps_only)
             assert got.tolist() == ties
+            assert not state.core.arrays["corr"].any()  # the scratch is left zero
             if ties:
                 assert got_best == best
         moves = _moves_by_code(state)
@@ -411,7 +405,7 @@ def test_tabu_search_respects_deadline():
     bmcp.tabu_search(
         state,
         bmcp.ProbabilityVector.initial(inst.m),
-        TsParams(depth=10**6, tenure=4),
+        10**6, 4,
         np.random.default_rng(0),
         deadline=started + 0.2,
     )
@@ -420,10 +414,10 @@ def test_tabu_search_respects_deadline():
 
 def test_tabu_search_best_is_a_copy(tiny):
     state = state_of(tiny, [0])
-    best, _ = bmcp.tabu_search(
+    best = bmcp.tabu_search(
         state,
         bmcp.ProbabilityVector.initial(3),
-        TsParams(depth=5, tenure=2),
+        5, 2,
         np.random.default_rng(3),
     )
     assert best is not state
