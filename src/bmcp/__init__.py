@@ -35,7 +35,6 @@ from .solver import (
 from .state import Flip, Move, SearchState, Swap
 from .stats import wilcoxon_signed_rank
 from .tabu import (
-    TabuList,
     descent_local_search,
     initial_solution,
     random_fill,

@@ -1,11 +1,11 @@
-"""Loader of the compiled search core in ``_scan.c``, and its two structs.
+"""Loader of the compiled search core in ``_scan.c``, and its struct.
 
 ``lib`` is the loaded library: ``lib.bmcp_scan`` is the only move scan of
 :mod:`bmcp.tabu`, and ``lib.bmcp_flip`` applies every flip of
 :class:`bmcp.state.SearchState`. Both take a :class:`State` (``bmcp_state``,
-one per search state, with a scratch ``corr`` that the scan leaves all zero);
-the scan also takes a :class:`Tabu` (``bmcp_tabu``, one per tabu list). These
-mirrors are the one place in Python that lays out the core's memory.
+one per search state, with the state's tabu expiry, a scratch ``corr`` that
+the scan leaves all zero, and the scan's tie buffer). This mirror is the one
+place in Python that lays out the core's memory.
 
 The first read of ``lib`` builds ``_scan.c`` with the interpreter's C
 compiler (``sysconfig``'s ``CC``) into the package's ``__pycache__``, named
@@ -47,21 +47,13 @@ class _Struct(ctypes.Structure):
 
 
 class State(_Struct):
-    """``bmcp_state``: the instance's arrays and one search state's."""
+    """``bmcp_state``: the instance's arrays, one search state's, its tabu
+    expiry, and the scan's scratch and tie buffer."""
 
     _fields_ = [("m", ctypes.c_int64), *((name, ctypes.c_void_p) for name in (
         "indptr", "indices", "colptr", "colitems", "profits", "weights", "order",
-        "selection", "coverage", "value", "corr",
-    ))]
-
-
-class Tabu(_Struct):
-    """``bmcp_tabu``: one tabu list's expiry and its tie buffer."""
-
-    _fields_ = [
-        ("expiry", ctypes.c_void_p), ("ties", ctypes.c_void_p),
-        ("capacity", ctypes.c_int64), ("best", ctypes.c_int64),
-    ]
+        "selection", "coverage", "value", "corr", "expiry", "ties",
+    )), ("capacity", ctypes.c_int64), ("best", ctypes.c_int64)]
 
 
 def _compiler() -> list[str]:
@@ -94,7 +86,7 @@ def _open(path: Path):
     lib = ctypes.CDLL(str(path))
     i64 = ctypes.c_int64
     # Then iteration, headroom, threshold and swaps_only.
-    lib.bmcp_scan.argtypes = [ctypes.POINTER(State), ctypes.POINTER(Tabu), i64, i64, i64, i64]
+    lib.bmcp_scan.argtypes = [ctypes.POINTER(State), i64, i64, i64, i64]
     lib.bmcp_flip.argtypes = [ctypes.POINTER(State), i64]
     for fn in (lib.bmcp_scan, lib.bmcp_flip):
         fn.restype = i64

@@ -6,9 +6,8 @@
  * it out (the profit of the elements it covers alone). `bmcp_flip` updates
  * all three on every flip; `bmcp_scan` reads them.
  *
- * It reads two structs, each filled once by the object whose memory it
- * describes: `bmcp_state` (the instance's and one search state's arrays) and
- * `bmcp_tabu` (a tabu list's expiry and ties), as a state outlives its lists.
+ * It reads one struct per search state, `bmcp_state`: the instance's arrays,
+ * the state's own, its per-item tabu expiry and the scan's scratch and ties.
  *
  * The instance comes with `order`, its items sorted by (weight, item), and
  * its columns: element e is covered by colitems[colptr[e]..colptr[e+1]],
@@ -28,13 +27,10 @@ typedef struct {
     const int64_t *profits, *weights, *order;
     uint8_t *selection;
     int64_t *coverage, *value, *corr; /* corr: m words, all zero between scans */
-} bmcp_state;
-
-typedef struct {
-    const int64_t *expiry;
+    const int64_t *expiry;            /* the iteration through which each item is tabu */
     int64_t *ties;
     int64_t capacity, best; /* room in ties; the best delta of the last scan */
-} bmcp_tabu;
+} bmcp_state;
 
 /* Flip `item` in or out; returns the change in objective.
  *
@@ -82,21 +78,21 @@ static int by_code(const void *x, const void *y)
 /* Exact best-move scan of the flip and swap neighbourhoods, one pass per pick.
  *
  * Every admissible move whose delta equals the best admissible delta is
- * written to `t->ties` as its items: `i` for the flip of item i (in or out),
+ * written to `s->ties` as its items: `i` for the flip of item i (in or out),
  * `m + m*a + b` for the swap of selected item a for unselected item b. The
  * order is flip-ins, flip-outs, then swaps by (a, b), each in ascending item
- * order. At most `t->capacity` moves are written, but all are counted, and
- * the count is returned (0 when nothing is admissible). `t->best` receives
+ * order. At most `s->capacity` moves are written, but all are counted, and
+ * the count is returned (0 when nothing is admissible). `s->best` receives
  * the best delta.
  *
  * For each selected a, only the entering items no heavier than
  * headroom + w[a] are walked, in (weight, item) order; the swap ties are
  * sorted back into code order at the end.
  */
-int64_t bmcp_scan(const bmcp_state *s, bmcp_tabu *t, int64_t iteration,
-                  int64_t headroom, int64_t threshold, int64_t swaps_only)
+int64_t bmcp_scan(bmcp_state *s, int64_t iteration, int64_t headroom,
+                  int64_t threshold, int64_t swaps_only)
 {
-    const int64_t m = s->m, *expiry = t->expiry;
+    const int64_t m = s->m, *expiry = s->expiry;
     int64_t best = INT64_MIN, count = 0;
 #define CONSIDER(delta, ok, code)                                   \
     do {                                                            \
@@ -106,8 +102,8 @@ int64_t bmcp_scan(const bmcp_state *s, bmcp_tabu *t, int64_t iteration,
                 best = d_;                                          \
                 count = 0;                                          \
             }                                                       \
-            if (count < t->capacity)                                \
-                t->ties[count] = (code);                            \
+            if (count < s->capacity)                                \
+                s->ties[count] = (code);                            \
             count++;                                                \
         }                                                           \
     } while (0)
@@ -157,12 +153,12 @@ int64_t bmcp_scan(const bmcp_state *s, bmcp_tabu *t, int64_t iteration,
     }
 #undef CONSIDER
 
-    if (count <= t->capacity) {
+    if (count <= s->capacity) {
         int64_t f = 0;
-        while (f < count && t->ties[f] < m)
+        while (f < count && s->ties[f] < m)
             f++;
-        qsort(t->ties + f, (size_t)(count - f), sizeof *t->ties, by_code);
+        qsort(s->ties + f, (size_t)(count - f), sizeof *s->ties, by_code);
     }
-    t->best = best;
+    s->best = best;
     return count;
 }

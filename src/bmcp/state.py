@@ -9,6 +9,9 @@ its uncovered elements) or the loss of a selected one (the profit of the
 elements it covers alone). Each flip is one call of ``bmcp_flip`` in
 ``_scan.c``, which touches the flipped item's elements and the columns of
 those whose coverage crosses 0<->1 or 1<->2; a swap is two flips.
+
+A state searched by the compiled core also owns what its scans read and
+write besides: the per-item tabu ``expiry`` and the scan's tie buffer.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ class SearchState:
     @property
     def core(self) -> _native.State:
         """The compiled core's struct, checked and filled on first use (a
-        copy kept as a record never pays for it)."""
+        copy kept as a record never pays for it), with nothing tabu."""
         if self._core is None:
             inst = self.instance
             arrays = (self._selection, self._coverage, self._value)
@@ -84,8 +87,16 @@ class SearchState:
                 colitems=colitems, profits=inst.profits, weights=inst.weights,
                 order=inst.order, selection=self._selection, coverage=self._coverage,
                 value=self._value, corr=np.zeros(inst.m, dtype=np.int64),
+                expiry=np.zeros(inst.m, dtype=np.int64),
+                ties=np.empty(inst.m, dtype=np.int64), capacity=inst.m,
             )
         return self._core
+
+    def _reserve(self, capacity: int) -> None:
+        """A tie buffer with room for ``capacity`` moves."""
+        core = self.core
+        ties = core.arrays["ties"] = np.empty(capacity, dtype=np.int64)
+        core.ties, core.capacity = ties.ctypes.data, capacity
 
     @property
     def selection(self) -> np.ndarray:
@@ -102,6 +113,12 @@ class SearchState:
         """Gain of flipping each unselected item in, loss of flipping each
         selected one out, int64 (m,)."""
         return self._value
+
+    @property
+    def expiry(self) -> np.ndarray:
+        """Iteration through which each item stays tabu, int64 (m,); the
+        scan admits item i at iteration t freely when ``expiry[i] < t``."""
+        return self.core.arrays["expiry"]
 
     @classmethod
     def from_selection(cls, instance: Instance, selection) -> "SearchState":

@@ -11,8 +11,9 @@ are broken uniformly at random.
 Every move delta is computed in int64 from the instance's incidence, with
 no float step. Each pick is one pass of the compiled scan in ``_scan.c``,
 which :mod:`bmcp._native` builds on first use. The scan reads the move
-values the :class:`~bmcp.state.SearchState` keeps, and for each leaving
-item walks only the entering items light enough to fit.
+values and the tabu ``expiry`` the :class:`~bmcp.state.SearchState`
+keeps, and for each leaving item walks only the entering items light
+enough to fit.
 :data:`bmcp.instance.MAX_TOTAL` bounds the instance totals so that no
 intermediate can overflow.
 """
@@ -50,71 +51,29 @@ def tabu_depth(m: int) -> int:
     return (1100 - m) * 20
 
 
-class TabuList:
-    """Per-item tabu expiry, advanced once per search iteration.
-
-    An item marked at iteration t stays tabu through iteration t + tenure
-    and is admissible again from t + tenure + 1. Iterations start at 1 so a
-    fresh list (expiry all zero) marks nothing tabu.
-
-    Each search owns its list, so the list also holds the scan's reused tie
-    buffer. ``expiry`` is fixed for the list's life: the scan reads it
-    through the list's ``core`` struct.
-    """
-
-    __slots__ = ("_expiry", "tenure", "iteration", "_ties", "core")
-
-    def __init__(self, item_count: int, tenure: int):
-        self._expiry = np.zeros(item_count, dtype=np.int64)
-        # The expiry is int64. No phase runs MAX_TOTAL iterations, so
-        # clamping there changes no move.
-        self.tenure = min(tenure, MAX_TOTAL)
-        self.iteration = 1
-        self._reserve(item_count)
-
-    @property
-    def expiry(self) -> np.ndarray:
-        """Iteration through which each item stays tabu, int64 (m,)."""
-        return self._expiry
-
-    def _reserve(self, capacity: int) -> None:
-        """A tie buffer with room for ``capacity`` moves."""
-        self._ties = np.empty(capacity, dtype=np.int64)
-        self.core = _native.Tabu(expiry=self._expiry, ties=self._ties, capacity=capacity)
-
-    def advance(self) -> None:
-        self.iteration += 1
-
-    def mark(self, *items: int) -> None:
-        self._expiry[list(items)] = self.iteration + self.tenure
-
-
 def _compiled_candidates(
-    state: SearchState, tabu: TabuList, threshold: int, swaps_only: bool
+    state: SearchState, iteration: int, threshold: int, swaps_only: bool
 ) -> tuple[np.ndarray, int]:
     """Every admissible move at the best delta, in scan order, and that delta.
 
     One pass of ``bmcp_scan`` from :data:`bmcp._native.lib`; ``_scan.c``
     documents the scan order and the item codes the moves come as, which
-    :func:`_move` decodes. Admissible: feasible and either non-tabu or past
-    the aspiration bar, ``delta > threshold``. ``swaps_only`` leaves the
-    flips out. When the ties overflow the tabu list's buffer, it grows and
-    the scan runs again.
+    :func:`_move` decodes. Admissible: feasible and either free at
+    ``iteration`` (``state.expiry`` below it) or past the aspiration bar,
+    ``delta > threshold``. ``swaps_only`` leaves the flips out. When the
+    ties overflow the state's buffer, it grows and the scan runs again.
     """
     inst = state.instance
     # ctypes wraps ints to int64 silently. No weight difference or delta
     # reaches MAX_TOTAL, so clamping there changes no comparison.
     headroom = min(inst.capacity - state.total_weight, MAX_TOTAL)
     threshold = max(-MAX_TOTAL, min(threshold, MAX_TOTAL))
-    if tabu.expiry.size != inst.m:
-        raise ValueError(f"tabu list of {tabu.expiry.size} items for {inst.m} items")
+    core = state.core
     while True:
-        count = _native.lib.bmcp_scan(
-            state.core, tabu.core, tabu.iteration, headroom, threshold, swaps_only
-        )
-        if count <= tabu._ties.size:
-            return tabu._ties[:count].copy(), tabu.core.best
-        tabu._reserve(max(count, 2 * tabu._ties.size))
+        count = _native.lib.bmcp_scan(core, iteration, headroom, threshold, swaps_only)
+        if count <= core.capacity:
+            return core.arrays["ties"][:count].copy(), core.best
+        state._reserve(max(count, 2 * core.capacity))
 
 
 def _move(m: int, code: int) -> Move:
@@ -124,11 +83,11 @@ def _move(m: int, code: int) -> Move:
 
 def select_move(
     state: SearchState,
-    tabu: TabuList,
+    iteration: int,
     best_so_far: int,
     rng: np.random.Generator,
 ) -> Move | None:
-    """Best admissible move at the tabu list's current iteration, or None.
+    """Best admissible move at ``iteration`` of the state's tabu expiry, or None.
 
     Admissible: feasible and either non-tabu or past the aspiration bar,
     that is pushing the objective strictly past ``best_so_far``. The best
@@ -136,7 +95,7 @@ def select_move(
     candidates in order: flip-ins, flip-outs, then swaps by (leaving,
     entering) item. One tie draws nothing.
     """
-    ties, _ = _compiled_candidates(state, tabu, best_so_far - state.objective, False)
+    ties, _ = _compiled_candidates(state, iteration, best_so_far - state.objective, False)
     if not ties.size:
         return None
     pick = ties[0] if ties.size == 1 else ties[rng.integers(ties.size)]
@@ -177,10 +136,11 @@ def descent_local_search(
     """Apply best improving swaps until none exists; mutates and returns state.
 
     Each step draws its tie-break from ``rng``, even with a single tie.
+    Tabu marks are ignored: no swap loses MAX_TOTAL (the profit total is
+    below it), so every feasible swap passes the aspiration bar.
     """
-    no_tabu = TabuList(state.instance.m, tenure=1)
     while True:
-        ties, best = _compiled_candidates(state, no_tabu, 0, True)
+        ties, best = _compiled_candidates(state, 0, -MAX_TOTAL, True)
         if not ties.size or best <= 0:
             return state
         pick = ties[rng.integers(ties.size)]
@@ -209,33 +169,39 @@ def tabu_search(
     leaving items punished. ``observer``, when given, is called with the
     state after every applied move. ``deadline`` (a perf_counter value)
     cuts the phase short once the wall clock passes it.
+
+    An item marked at iteration t stays tabu through iteration t + tenure
+    and is admissible again from t + tenure + 1. The phase clears
+    ``state.expiry`` and counts iterations from 1, so it starts with
+    nothing tabu.
     """
-    tabu = TabuList(state.instance.m, tenure)
+    # The expiry is int64. No phase runs MAX_TOTAL iterations, so clamping
+    # there changes no move.
+    tenure = min(tenure, MAX_TOTAL)
+    expiry = state.expiry
+    expiry[:] = 0
     best = state.copy()
     non_improving = 0
+    iteration = 1
     while non_improving < depth:
         if deadline is not None and time.perf_counter() >= deadline:
             break
-        move = select_move(state, tabu, best.objective, rng)
+        move = select_move(state, iteration, best.objective, rng)
         if move is None:
             break
         state.apply(move)
         if observer is not None:
             observer(state)
-        if isinstance(move, Flip):
-            if state.selection[move.item]:
-                prob.reward(move.item)
+        for item in (move.item,) if isinstance(move, Flip) else (move.out_item, move.in_item):
+            if state.selection[item]:
+                prob.reward(item)
             else:
-                prob.punish(move.item)
-            tabu.mark(move.item)
-        else:
-            prob.punish(move.out_item)
-            prob.reward(move.in_item)
-            tabu.mark(move.out_item, move.in_item)
+                prob.punish(item)
+            expiry[item] = iteration + tenure
         if state.objective > best.objective:
             best = state.copy()
             non_improving = 0
         else:
             non_improving += 1
-        tabu.advance()
+        iteration += 1
     return best

@@ -118,9 +118,9 @@ def move_delta(state, move):
     return swap_delta(state, move.out_item, move.in_item)
 
 
-def tabu_items(tabu):
-    """Boolean vector of the items tabu at the list's current iteration."""
-    return tabu.expiry >= tabu.iteration
+def tabu_items(state, iteration):
+    """Boolean vector of the items tabu at ``iteration`` of the state's expiry."""
+    return state.expiry >= iteration
 
 
 def reference_moves(state):
@@ -143,15 +143,16 @@ def move_code(m, move):
     return move.item
 
 
-def reference_candidates(state, tabu, thresholds):
+def reference_candidates(state, iteration, thresholds):
     """The move scan's answer, from the scalar deltas, for each threshold.
 
     Maps (threshold, swaps_only) to the codes of the admissible moves at
     the best delta, in the scan's order, and that delta (None when there is
-    none). Admissible: feasible, and either every touched item free or
-    ``delta > threshold``. Each move's delta is computed once.
+    none). Admissible: feasible, and either every touched item free at
+    ``iteration`` or ``delta > threshold``. Each move's delta is computed
+    once.
     """
-    tabu_now = tabu_items(tabu)
+    tabu_now = tabu_items(state, iteration)
     scored = []
     for move in reference_moves(state):
         delta = move_delta(state, move)

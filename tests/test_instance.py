@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bmcp
-from bmcp import ConfigError, Flip, FormatError, InstanceWarning, SearchState, TabuList
+from bmcp import ConfigError, Flip, FormatError, InstanceWarning, SearchState
 from bmcp.instance import MAX_TOTAL
 from bmcp.tabu import _compiled_candidates
 from conftest import TINY_TEXT, csr, make_instance, row_of
@@ -223,7 +223,7 @@ def test_states_on_copies_point_at_the_copies_arrays():
         assert core == [a.ctypes.data for a in arrays]
         assert ours.isdisjoint(core)
         scans = [
-            _compiled_candidates(s, TabuList(inst.m, 1), 0, False)[0].tolist()
+            _compiled_candidates(s, 1, 0, False)[0].tolist()
             for s in (original, state)
         ]
         assert scans[0] == scans[1] and scans[0]

@@ -88,6 +88,29 @@ def test_solve_random_policy_and_carry(tiny):
     assert result.best_objective == 12
 
 
+@pytest.mark.parametrize("carry", [False, True])
+def test_carry_probability_keeps_the_vector_across_phases(carry, monkeypatch):
+    phases = []
+    search = bmcp.solver.tabu_search
+
+    def recording(state, prob, *args, **kwargs):
+        entry = prob.probs.copy()
+        best = search(state, prob, *args, **kwargs)
+        phases.append((entry, prob.probs.copy()))
+        return best
+
+    monkeypatch.setattr(bmcp.solver, "tabu_search", recording)
+    inst = make_instance(40, 50, 0.1, 0.4, seed=2)
+    bmcp.solve(inst, SolverConfig(seed=2, max_rounds=3, carry_probability=carry))
+    assert len(phases) == 3
+    assert all((left != 0.5).any() for _, left in phases)
+    fresh = [bool((entry == 0.5).all()) for entry, _ in phases]
+    assert fresh == ([True] * 3 if not carry else [True, False, False])
+    if carry:
+        for (_, left), (entry, _) in zip(phases, phases[1:]):
+            assert np.array_equal(entry, left)
+
+
 def test_policies_diverge_on_same_seed():
     inst = make_instance(50, 60, 0.08, 0.35, seed=8)
     base = SolverConfig(seed=2, max_rounds=4, depth=60)

@@ -69,7 +69,7 @@ def test_apply_rejects_items_out_of_range(tiny, move):
 def test_state_arrays_cannot_be_rebound(tiny):
     # The compiled core holds their addresses for the state's life.
     s = state_of(tiny, [0])
-    for name in ("selection", "coverage", "value"):
+    for name in ("selection", "coverage", "value", "expiry"):
         with pytest.raises(AttributeError):
             setattr(s, name, getattr(s, name).copy())
     bad = SearchState(tiny, s.selection.copy(), s.coverage.astype(np.int32), s.value.copy(), 4, 10)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import bmcp
-from bmcp import ConfigError, Flip, SearchState, Swap, TabuList
+from bmcp import ConfigError, Flip, SearchState, Swap
+from bmcp.instance import MAX_TOTAL
 from bmcp.tabu import _compiled_candidates
 from conftest import (
     TINY_TEXT,
@@ -19,6 +20,33 @@ from conftest import (
 
 def state_of(inst, items):
     return SearchState.from_selection(inst, bmcp.selection_from_items(inst.m, items))
+
+
+def marked(state, expiry):
+    """``state`` with its tabu expiry set to ``expiry``."""
+    state.expiry[:] = expiry
+    return state
+
+
+def phase_marks(state, depth, tenure, seed=5):
+    """Run one tabu phase from ``state``; for each move, the items it
+    changed and the expiry after the phase marked them. The observer sees
+    each state after its move, before that move's marks."""
+    selections, expiries = [state.selection.copy()], []
+
+    def observe(s):
+        selections.append(s.selection.copy())
+        expiries.append(s.expiry.copy())
+
+    bmcp.tabu_search(
+        state, bmcp.ProbabilityVector.initial(state.instance.m), depth, tenure,
+        np.random.default_rng(seed), observer=observe,
+    )
+    expiries = [*expiries[1:], state.expiry.copy()]
+    return [
+        (np.flatnonzero(before != after).tolist(), expiry)
+        for before, after, expiry in zip(selections, selections[1:], expiries)
+    ]
 
 
 def test_tenure_formula():
@@ -38,35 +66,33 @@ def test_depth_formula():
             bmcp.tabu_depth(m)
 
 
-def test_tabu_window():
-    tabu = TabuList(4, tenure=3)
-    assert not tabu_items(tabu).any()
-    tabu.mark(2)
-    marked_at = tabu.iteration
-    for offset in (1, 2, 3):
-        tabu.advance()
-        assert tabu.iteration == marked_at + offset
-        assert tabu_items(tabu)[2]
-        assert not tabu_items(tabu)[0]
-    tabu.advance()
-    assert not tabu_items(tabu)[2]
-    assert tabu_items(tabu).tolist() == [False] * 4
+def test_tabu_window(tiny):
+    # From {item 1}, flipping in item 2 or item 3 gains 2. Item 2, marked at
+    # iteration 1 with tenure 3, is left out of the scan through iteration
+    # 4 (no threshold admits it) and is admissible again from 5.
+    state = marked(state_of(tiny, [0]), [0, 1 + 3, 0])
+    for iteration in (2, 3, 4, 5):
+        ties, _ = _compiled_candidates(state, iteration, MAX_TOTAL, False)
+        assert ties.tolist() == ([1, 2] if iteration == 5 else [2])
+        assert tabu_items(state, iteration).tolist() == [False, iteration < 5, False]
 
 
-def test_tenure_beyond_int64_keeps_the_item_tabu():
-    tabu = TabuList(3, tenure=2**70)
-    tabu.mark(1)
-    for _ in range(5):
-        tabu.advance()
-    assert tabu_items(tabu).tolist() == [False, True, False]
+def test_tenure_beyond_int64_keeps_the_item_tabu(tiny):
+    marks = phase_marks(state_of(tiny, [2]), depth=40, tenure=2**70)
+    assert marks
+    for iteration, (items, expiry) in enumerate(marks, start=1):
+        assert expiry[items].tolist() == [iteration + MAX_TOTAL] * len(items)
 
 
 def test_mark_both_swap_items():
-    tabu = TabuList(5, tenure=2)
-    tabu.mark(1, 4)
-    tabu.advance()
-    assert tabu_items(tabu)[1] and tabu_items(tabu)[4]
-    assert tabu_items(tabu).tolist() == [False, True, False, False, True]
+    # From {item 0}, nothing else fits, and swapping 0 for 1 or for 2 gains 4.
+    inst = _one_element_each([5, 4, 3], [1, 5, 5], capacity=5)
+    marks = phase_marks(state_of(inst, [0]), depth=6, tenure=2)
+    items, expiry = marks[0]
+    assert len(items) == 2 and 0 in items
+    assert expiry.tolist() == [3 if i in items else 0 for i in range(3)]
+    for iteration, (items, expiry) in enumerate(marks, start=1):
+        assert expiry[items].tolist() == [iteration + 2] * len(items)
 
 
 class TestSelectMove:
@@ -79,7 +105,7 @@ class TestSelectMove:
         seen = set()
         for _ in range(60):
             state = state_of(tiny, [0])
-            move = bmcp.select_move(state, TabuList(3, 4), state.objective, rng)
+            move = bmcp.select_move(state, 1, state.objective, rng)
             assert move in (Flip(1), Flip(2))
             state.apply(move)
             assert state.objective == 12
@@ -87,40 +113,28 @@ class TestSelectMove:
         assert seen == {Flip(1), Flip(2)}
 
     def test_tabu_item_is_skipped(self, tiny):
-        state = state_of(tiny, [0])
-        tabu = TabuList(3, 4)
-        tabu.mark(1)
-        tabu.advance()
-        move = bmcp.select_move(state, tabu, 12, np.random.default_rng(0))
+        state = marked(state_of(tiny, [0]), [0, 5, 0])
+        move = bmcp.select_move(state, 2, 12, np.random.default_rng(0))
         assert move == Flip(2)
 
     def test_aspiration_overrides_tabu(self, tiny):
-        state = state_of(tiny, [0])
-        tabu = TabuList(3, 4)
-        tabu.mark(1)
-        tabu.advance()
+        state = marked(state_of(tiny, [0]), [0, 5, 0])
         seen = set()
         for k in range(40):
-            move = bmcp.select_move(state, tabu, 11, np.random.default_rng(k))
+            move = bmcp.select_move(state, 2, 11, np.random.default_rng(k))
             assert move in (Flip(1), Flip(2))
             seen.add(move)
         assert Flip(1) in seen
 
     def test_no_admissible_move(self, tiny):
-        state = state_of(tiny, [0])
-        tabu = TabuList(3, 4)
-        tabu.mark(0, 1, 2)
-        tabu.advance()
-        assert bmcp.select_move(state, tabu, 13, np.random.default_rng(0)) is None
+        state = marked(state_of(tiny, [0]), [5, 5, 5])
+        assert bmcp.select_move(state, 2, 13, np.random.default_rng(0)) is None
 
     def test_worsening_move_accepted_when_forced(self, tiny):
         # With the gaining flips tabu and no aspiration, the best
         # admissible move worsens the objective.
-        state = state_of(tiny, [0])
-        tabu = TabuList(3, 4)
-        tabu.mark(1, 2)
-        tabu.advance()
-        move = bmcp.select_move(state, tabu, 13, np.random.default_rng(0))
+        state = marked(state_of(tiny, [0]), [0, 5, 5])
+        move = bmcp.select_move(state, 2, 13, np.random.default_rng(0))
         assert move is not None
         delta = move_delta(state, move)
         assert delta.objective < 0
@@ -172,6 +186,45 @@ def test_descent_output_has_no_improving_swap():
         for in_item in np.flatnonzero(~state.selection):
             delta = swap_delta(state, int(out_item), int(in_item))
             assert not (delta.feasible and delta.objective > 0)
+
+
+def test_descent_ignores_tabu_marks():
+    inst = make_instance(40, 50, 0.1, 0.4, seed=15)
+    rng = np.random.default_rng(8)
+    moved = 0
+    for seed in range(30):
+        state = SearchState.from_selection(inst, bmcp.random_fill(inst, rng))
+        start = state.selection.copy()
+        unmarked = state.copy()
+        marked(state, MAX_TOTAL)
+        rngs = np.random.default_rng(seed), np.random.default_rng(seed)
+        bmcp.descent_local_search(state, rngs[0])
+        bmcp.descent_local_search(unmarked, rngs[1])
+        assert state.selection.tolist() == unmarked.selection.tolist()
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+        moved += not np.array_equal(state.selection, start)
+    assert moved
+
+
+def test_second_phase_on_one_state_starts_with_nothing_tabu():
+    inst = make_instance(40, 50, 0.1, 0.4, seed=15)
+    state = SearchState.from_selection(
+        inst, bmcp.random_fill(inst, np.random.default_rng(4))
+    )
+    bmcp.tabu_search(
+        state, bmcp.ProbabilityVector.initial(inst.m), 30, 5, np.random.default_rng(3)
+    )
+    assert state.expiry.max() > 5  # the first phase leaves its marks
+    runs = []
+    for searched in (state, state.copy()):
+        prob = bmcp.ProbabilityVector.initial(inst.m)
+        rng = np.random.default_rng(7)
+        best = bmcp.tabu_search(searched, prob, 30, 5, rng)
+        runs.append((
+            best.selection.tolist(), searched.selection.tolist(),
+            prob.probs.tolist(), rng.bit_generator.state,
+        ))
+    assert runs[0] == runs[1]
 
 
 def test_tabu_search_finds_tiny_optimum(tiny):
@@ -257,22 +310,16 @@ def _instance_near_2_58():
     )
 
 
-def _tabu(m, expiry, iteration):
-    tabu = TabuList(m, 1)
-    tabu.expiry[:], tabu.iteration = expiry, iteration
-    return tabu
-
-
 def _random_cases(inst):
-    """(state, tabu list, best-so-far values) on random feasible states."""
+    """(marked state, iteration, best-so-far values) on random feasible states."""
     rng = np.random.default_rng(31)
     for _ in range(25):
         sel = bmcp.random_fill(inst, rng)
         sel &= rng.random(inst.m) < 0.8
         state = SearchState.from_selection(inst, sel)
-        expiry = rng.integers(0, 8, size=inst.m) * (rng.random(inst.m) < 0.3)
-        tabu = _tabu(inst.m, expiry, int(rng.integers(1, 6)))
-        yield state, tabu, [state.objective + slack for slack in (-3, 0, 3, 10**6)]
+        marked(state, rng.integers(0, 8, size=inst.m) * (rng.random(inst.m) < 0.3))
+        iteration = int(rng.integers(1, 6))
+        yield state, iteration, [state.objective + slack for slack in (-3, 0, 3, 10**6)]
 
 
 def _one_element_each(weights, profits, capacity):
@@ -284,14 +331,13 @@ def _one_element_each(weights, profits, capacity):
 
 
 def _edge_cases():
-    """Named (state, tabu list, best so far, tie set) cases; ties are the
+    """Named (marked state, iteration, best so far, tie set) cases; ties are the
     scan's move codes: a flip's item, or m + m*a + b for the swap of a for b
     (on three items, 3 + 3a + b)."""
     tiny = bmcp.parse_instance(TINY_TEXT)
     roomy = bmcp.parse_instance(TINY_TEXT.replace("3 3 10", "3 3 15"))
     # Headroom and threshold beyond int64, which must not wrap.
     vast = bmcp.parse_instance(TINY_TEXT.replace("3 3 10", f"3 3 {2**64 + 3}"))
-    free = np.zeros(3, dtype=np.int64)
     # Swapping 0 for 1 or for 2 gains 4; the lighter item 2 comes second.
     lighter_later = _one_element_each([5, 4, 3], [1, 5, 5], capacity=5)
     # Swapping 0 or 1 for 2 gains 4.
@@ -299,21 +345,17 @@ def _edge_cases():
     # Flipping 1 in and swapping 0 for 2 both gain 3.
     flip_and_swap = _one_element_each([1, 1, 2], [2, 3, 5], capacity=2)
     return {
-        "swaps tied, lighter item later": (
-            state_of(lighter_later, [0]), _tabu(3, free, 1), 1, [4, 5]
-        ),
-        "swaps tied, two leaving items": (
-            state_of(two_leaving, [0, 1]), _tabu(3, free, 1), 2, [5, 8]
-        ),
-        "flip tied with swap": (state_of(flip_and_swap, [0]), _tabu(3, free, 1), 2, [1, 5]),
-        "s=0": (state_of(tiny, []), _tabu(3, free, 1), 0, [0]),
-        "u=0": (state_of(roomy, [0, 1, 2]), _tabu(3, free, 1), 12, [0, 1, 2]),
-        "none admissible": (state_of(tiny, [0]), _tabu(3, [5, 5, 5], 2), 13, []),
-        "two ties": (state_of(tiny, [0]), _tabu(3, free, 1), 10, [1, 2]),
+        "swaps tied, lighter item later": (state_of(lighter_later, [0]), 1, 1, [4, 5]),
+        "swaps tied, two leaving items": (state_of(two_leaving, [0, 1]), 1, 2, [5, 8]),
+        "flip tied with swap": (state_of(flip_and_swap, [0]), 1, 2, [1, 5]),
+        "s=0": (state_of(tiny, []), 1, 0, [0]),
+        "u=0": (state_of(roomy, [0, 1, 2]), 1, 12, [0, 1, 2]),
+        "none admissible": (marked(state_of(tiny, [0]), [5, 5, 5]), 2, 13, []),
+        "two ties": (state_of(tiny, [0]), 1, 10, [1, 2]),
         # The flip-in of the tabu item 1 is admitted by aspiration.
-        "aspiration": (state_of(tiny, [0]), _tabu(3, [0, 5, 0], 2), 11, [1, 2]),
-        "vast capacity": (state_of(vast, [0]), _tabu(3, free, 1), 10, [1, 2]),
-        "far best": (state_of(tiny, [0]), _tabu(3, [0, 5, 0], 2), 2**64 + 10, [2]),
+        "aspiration": (marked(state_of(tiny, [0]), [0, 5, 0]), 2, 11, [1, 2]),
+        "vast capacity": (state_of(vast, [0]), 1, 10, [1, 2]),
+        "far best": (marked(state_of(tiny, [0]), [0, 5, 0]), 2, 2**64 + 10, [2]),
     }
 
 
@@ -322,10 +364,11 @@ def _moves_by_code(state):
 
 
 def _reference_descent(state, rng):
-    """:func:`bmcp.descent_local_search` on the scalar reference."""
-    no_tabu = TabuList(state.instance.m, 1)
+    """:func:`bmcp.descent_local_search` on the scalar reference, with
+    nothing tabu."""
+    state.expiry[:] = 0
     while True:
-        ties, best = reference_candidates(state, no_tabu, [0])[0, True]
+        ties, best = reference_candidates(state, 1, [0])[0, True]
         if best is None or best <= 0:
             return state
         state.apply(_moves_by_code(state)[ties[rng.integers(len(ties))]])
@@ -337,25 +380,25 @@ def _reference_descent(state, rng):
         lambda: _random_cases(make_instance(40, 50, 0.1, 0.4, seed=15)),
         lambda: _random_cases(_instance_with_gaps()),
         lambda: _random_cases(_instance_near_2_58()),
-        lambda: [(s, t, [best]) for s, t, best, _ in _edge_cases().values()],
+        lambda: [(s, it, [best]) for s, it, best, _ in _edge_cases().values()],
     ],
     ids=["generated", "gaps", "near_2_58", "edges"],
 )
 def test_scan_matches_scalar_reference(cases):
-    for state, tabu, bests in cases():
+    for state, iteration, bests in cases():
         thresholds = [best - state.objective for best in bests]
-        want = reference_candidates(state, tabu, thresholds)
+        want = reference_candidates(state, iteration, thresholds)
         for (threshold, swaps_only), (ties, best) in want.items():
-            got, got_best = _compiled_candidates(state, tabu, threshold, swaps_only)
+            got, got_best = _compiled_candidates(state, iteration, threshold, swaps_only)
             assert got.tolist() == ties
             assert not state.core.arrays["corr"].any()  # the scratch is left zero
             if ties:
                 assert got_best == best
         moves = _moves_by_code(state)
         for best_so_far, threshold in zip(bests, thresholds):
-            rng = np.random.default_rng(tabu.iteration)
-            ref_rng = np.random.default_rng(tabu.iteration)
-            move = bmcp.select_move(state, tabu, best_so_far, rng)
+            rng = np.random.default_rng(iteration)
+            ref_rng = np.random.default_rng(iteration)
+            move = bmcp.select_move(state, iteration, best_so_far, rng)
             ties, _ = want[threshold, False]
             if len(ties) > 1:
                 ties = [ties[ref_rng.integers(len(ties))]]
@@ -368,10 +411,10 @@ def test_scan_matches_scalar_reference(cases):
 
 
 def test_edge_cases_have_the_named_tie_sets():
-    for name, (state, tabu, best_so_far, ties) in _edge_cases().items():
+    for name, (state, iteration, best_so_far, ties) in _edge_cases().items():
         threshold = best_so_far - state.objective
-        got, _ = _compiled_candidates(state, tabu, threshold, False)
-        want, _ = reference_candidates(state, tabu, [threshold])[threshold, False]
+        got, _ = _compiled_candidates(state, iteration, threshold, False)
+        want, _ = reference_candidates(state, iteration, [threshold])[threshold, False]
         assert got.tolist() == want == ties, name
 
 
@@ -379,19 +422,14 @@ def test_ties_beyond_the_buffer_are_all_returned():
     # Equal profits and weights on disjoint rows, no room to flip in: all
     # 6 * 6 swaps tie at 0, more than the 12 moves the buffer starts with.
     inst = _one_element_each([1] * 12, [7] * 12, capacity=6)
-    state = state_of(inst, range(6))
     for swaps_only in (False, True):
-        tabu = TabuList(inst.m, 1)
-        want = reference_candidates(state, tabu, [0])[0, swaps_only]
+        state = state_of(inst, range(6))
+        want = reference_candidates(state, 1, [0])[0, swaps_only]
         assert len(want[0]) == 36
         for _ in range(2):  # grown, then reused
-            got, best = _compiled_candidates(state, tabu, 0, swaps_only)
+            got, best = _compiled_candidates(state, 1, 0, swaps_only)
             assert (got.tolist(), best) == want
-
-
-def test_scan_rejects_a_tabu_list_of_another_size(tiny):
-    with pytest.raises(ValueError, match="tabu list of 2 items for 3 items"):
-        _compiled_candidates(state_of(tiny, [0]), TabuList(2, 1), 0, False)
+        assert state.core.capacity >= 36
 
 
 def test_tabu_search_respects_deadline():
