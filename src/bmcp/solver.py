@@ -2,14 +2,15 @@
 
 One run: build an initial solution, then alternate tabu phases with
 perturbation restarts until the wall-clock budget runs out (or a fixed
-round count in deterministic test mode). Each run owns a single rng seeded
-from the config, so a (config, instance) pair replays exactly in rounds
-mode.
+round count in deterministic test mode). A run searches one state, which
+each restart refills in place. Each run owns a single rng seeded from the
+config, so a (config, instance) pair replays exactly in rounds mode.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -24,7 +25,6 @@ from .learning import (
     probability_perturbation,
     random_perturbation,
 )
-from .state import SearchState
 from .tabu import initial_solution, tabu_depth, tabu_search, tabu_tenure
 
 PERTURBATIONS = ("probability", "random")
@@ -140,7 +140,7 @@ def solve(inst: Instance, cfg: SolverConfig, observer=None) -> RunResult:
             restart = probability_perturbation(phase_best, prob, rng)
         else:
             restart = random_perturbation(phase_best, rng)
-        state = SearchState.from_selection(inst, restart)
+        state.refill(restart)
         if observer is not None:
             observer(state)
     return RunResult(
@@ -161,15 +161,17 @@ def _run_one(args) -> RunResult:
 def batch(
     inst: Instance, cfg: SolverConfig, runs: int, workers: int = 1
 ) -> list[RunResult]:
-    """Independent runs seeded seed, seed+1, ..., in run order."""
+    """Independent runs seeded seed, seed+1, ..., in run order; one process per CPU at most."""
     if runs < 1:
         raise ConfigError("runs must be positive")
     if workers < 1:
         raise ConfigError("workers must be positive")
     jobs = [(inst, replace(cfg, seed=cfg.seed + i)) for i in range(runs)]
-    if workers == 1 or runs == 1:
+    affinity = getattr(os, "sched_getaffinity", None)
+    workers = min(workers, runs, len(affinity(0)) if affinity else os.cpu_count() or 1)
+    if workers == 1:
         return [_run_one(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=min(workers, runs)) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_one, jobs))
 
 

@@ -8,7 +8,9 @@ objective by, in magnitude: the gain of an unselected item (the profit of
 its uncovered elements) or the loss of a selected one (the profit of the
 elements it covers alone). Each flip is one call of ``bmcp_flip`` in
 ``_scan.c``, which touches the flipped item's elements and the columns of
-those whose coverage crosses 0<->1 or 1<->2; a swap is two flips.
+those whose coverage crosses 0<->1 or 1<->2; a swap is two flips. A state
+is built the same way: from the empty selection, whose values are the row
+profit sums, by flipping each selected item in.
 
 A state searched by the compiled core also owns what its scans read and
 write besides: the per-item tabu ``expiry`` and the scan's tie buffer.
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import _native
 from .errors import InfeasibleError
-from .instance import Instance, as_selection, coverage_counts
+from .instance import Instance, as_selection
 
 
 @dataclass(frozen=True)
@@ -46,41 +48,30 @@ Move = Flip | Swap
 class SearchState:
     """Mutable selection plus derived quantities, one owner at a time.
 
-    ``selection``, ``coverage`` and ``value`` are fixed for the state's
-    life: the compiled core writes to them through the state's ``core``
-    struct, filled once, on its first use of the state.
+    ``selection``, ``coverage`` and ``value`` are the state's own arrays,
+    fixed for its life: the compiled core writes to them through the
+    state's ``core`` struct. A run refills one state at each restart.
     """
 
     __slots__ = (
         "instance", "_selection", "_coverage", "_value", "total_weight", "objective", "_core",
     )
 
-    def __init__(self, instance, selection, coverage, value, total_weight, objective):
+    def __init__(self, instance: Instance):
+        """Zeroed arrays for ``instance``, which :meth:`refill` fills."""
         self.instance = instance
-        self._selection = selection
-        self._coverage = coverage
-        self._value = value
-        self.total_weight = total_weight
-        self.objective = objective
+        self._selection = np.zeros(instance.m, dtype=bool)
+        self._coverage = np.zeros(instance.n, dtype=np.int64)
+        self._value = np.zeros(instance.m, dtype=np.int64)
+        self.total_weight = self.objective = 0
         self._core = None
 
     @property
     def core(self) -> _native.State:
-        """The compiled core's struct, checked and filled on first use (a
-        copy kept as a record never pays for it), with nothing tabu."""
+        """The compiled core's struct, filled when first used: at once for a
+        built state, never for a copy kept only as a record."""
         if self._core is None:
             inst = self.instance
-            arrays = (self._selection, self._coverage, self._value)
-            expected = zip((np.bool_, np.int64, np.int64), (inst.m, inst.n, inst.m))
-            for arr, (dtype, size) in zip(arrays, expected):
-                if (
-                    arr.dtype != dtype or arr.shape != (size,)
-                    or not arr.flags.c_contiguous or not arr.flags.writeable
-                ):
-                    raise ValueError(
-                        f"state array {arr.dtype} {arr.shape} is not a writeable"
-                        f" contiguous {np.dtype(dtype)} ({size},)"
-                    )
             colptr, colitems = inst.csc
             self._core = _native.State(
                 m=inst.m, indptr=inst.indptr, indices=inst.indices, colptr=colptr,
@@ -122,34 +113,40 @@ class SearchState:
 
     @classmethod
     def from_selection(cls, instance: Instance, selection) -> "SearchState":
-        """Build coverage, move values, weight, and objective from scratch.
+        """A new state of ``selection``, in arrays of its own; see :meth:`refill`."""
+        state = cls(instance)
+        state.refill(selection)
+        return state
 
-        Raises :class:`InfeasibleError` if the selection exceeds capacity.
-        """
-        sel = as_selection(instance.m, selection).copy()
-        coverage = coverage_counts(instance, sel)
-        weight = int(instance.weights[sel].sum())
-        if weight > instance.capacity:
-            raise InfeasibleError(
-                f"selection weight {weight} exceeds capacity {instance.capacity}"
-            )
-        objective = int(instance.profits[coverage > 0].sum())
-        # Integer matvecs over the incidence: each row sums distinct
-        # elements' profits, so no sum reaches MAX_TOTAL.
-        gain = instance.incidence @ np.where(coverage == 0, instance.profits, 0)
-        loss = instance.incidence @ np.where(coverage == 1, instance.profits, 0)
-        value = np.where(sel, loss, gain)
-        return cls(instance, sel, coverage, value, weight, objective)
+    def refill(self, selection) -> None:
+        """Load ``selection`` in place, with nothing tabu. Over capacity, it
+        raises :class:`InfeasibleError` and changes nothing."""
+        inst = self.instance
+        sel = as_selection(inst.m, selection)
+        weight = int(inst.weights[sel].sum())
+        if weight > inst.capacity:
+            raise InfeasibleError(f"selection weight {weight} exceeds capacity {inst.capacity}")
+        # Taken before the reset, since ``selection`` may be this state's own.
+        items = np.flatnonzero(sel).tolist()
+        self._selection[:] = False
+        self._coverage[:] = 0
+        # Each row sums distinct elements' profits, so none reaches MAX_TOTAL.
+        self._value[:] = inst.incidence @ inst.profits
+        self.total_weight = self.objective = 0
+        self.expiry[:] = 0
+        for item in items:
+            self._flip(item)
 
     def copy(self) -> "SearchState":
-        return SearchState(
-            self.instance,
-            self._selection.copy(),
-            self._coverage.copy(),
-            self._value.copy(),
-            self.total_weight,
-            self.objective,
-        )
+        """A record of this state: its own arrays, its struct not yet filled."""
+        twin = SearchState.__new__(SearchState)
+        twin.instance = self.instance
+        twin._selection = self._selection.copy()
+        twin._coverage = self._coverage.copy()
+        twin._value = self._value.copy()
+        twin.total_weight, twin.objective = self.total_weight, self.objective
+        twin._core = None
+        return twin
 
     def _flip(self, item: int) -> None:
         delta = _native.lib.bmcp_flip(self.core, item)

@@ -8,14 +8,13 @@ a tabu move is still admitted when it would beat the best objective seen
 so far in the phase (aspiration). Exact ties in the integer move deltas
 are broken uniformly at random.
 
-Every move delta is computed in int64 from the instance's incidence, with
-no float step. Each pick is one pass of the compiled scan in ``_scan.c``,
-which :mod:`bmcp._native` builds on first use. The scan reads the move
-values and the tabu ``expiry`` the :class:`~bmcp.state.SearchState`
-keeps, and for each leaving item walks only the entering items light
-enough to fit.
-:data:`bmcp.instance.MAX_TOTAL` bounds the instance totals so that no
-intermediate can overflow.
+Every move delta is formed in int64, with no float step, from the move
+values that the flips of a :class:`~bmcp.state.SearchState` keep. Each
+pick is one pass of the compiled scan in ``_scan.c``, which
+:mod:`bmcp._native` builds on first use. The scan reads the state's move
+values and tabu ``expiry``, and for each leaving item walks only the
+entering items light enough to fit. :data:`bmcp.instance.MAX_TOTAL`
+bounds the instance totals so that no intermediate can overflow.
 """
 
 from __future__ import annotations

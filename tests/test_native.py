@@ -114,8 +114,11 @@ UNDER_SANITIZER = """
     test_tabu.test_descent_ignores_tabu_marks()
     test_tabu.test_second_phase_on_one_state_starts_with_nothing_tabu()
     test_state.test_random_walk_matches_rebuild()
+    # A refill rewrites the arrays the struct points at, under a grown buffer.
+    test_state.test_refill_after_a_phase_equals_a_fresh_state()
     test_solver.test_rounds_mode_replays_pinned_moves(*test_solver.REPLAY_PINS[0])
-    # A new state every round: a struct left on a dead state's arrays shows.
+    # One state refilled every round: a write past its arrays or its tie
+    # buffer, or a struct left on a dead copy's arrays, shows.
     test_solver.test_rounds_mode_replays_pinned_moves(*test_solver.REPLAY_PINS[1])
 """
 

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import os
 import time
 
 import numpy as np
@@ -136,6 +137,44 @@ def test_batch_parallel_matches_serial():
         assert a.seed == b.seed
         assert a.best_objective == b.best_objective
         assert np.array_equal(a.best_selection, b.best_selection)
+
+
+@pytest.mark.parametrize("affinity", [True, False], ids=["affinity", "cpu_count"])
+def test_batch_workers_are_bounded_by_usable_cpus(tiny, affinity, monkeypatch):
+    sizes = []
+
+    class Recorder:
+        """Stands in for ``ProcessPoolExecutor``: records ``max_workers``
+        and runs the jobs in this process, starting none."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    def usable(count):
+        if affinity:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: count)
+
+    monkeypatch.setattr(bmcp.solver, "ProcessPoolExecutor", Recorder)
+    cfg = SolverConfig(seed=5, max_rounds=1)
+    usable(3)
+    results = bmcp.batch(tiny, cfg, runs=8, workers=4096)
+    assert [r.seed for r in results] == list(range(5, 13))
+    bmcp.batch(tiny, cfg, runs=2, workers=4096)
+    usable(1)
+    assert len(bmcp.batch(tiny, cfg, runs=4, workers=4)) == 4  # serial, no pool
+    assert sizes == [3, 2]
 
 
 def test_batch_validation(tiny):

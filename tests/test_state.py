@@ -3,6 +3,7 @@ import pytest
 
 import bmcp
 from bmcp import Flip, InfeasibleError, SearchState, Swap
+from bmcp.tabu import _compiled_candidates
 from conftest import flip_delta, make_instance, move_delta, rebuild, swap_delta
 
 
@@ -72,10 +73,6 @@ def test_state_arrays_cannot_be_rebound(tiny):
     for name in ("selection", "coverage", "value", "expiry"):
         with pytest.raises(AttributeError):
             setattr(s, name, getattr(s, name).copy())
-    bad = SearchState(tiny, s.selection.copy(), s.coverage.astype(np.int32), s.value.copy(), 4, 10)
-    with pytest.raises(ValueError, match="int64"):
-        bad.apply(Flip(1))
-    assert bad.selection.tolist() == [True, False, False] and bad.total_weight == 4
 
 
 def test_apply_flip_and_swap(tiny):
@@ -145,3 +142,72 @@ def test_random_walk_matches_rebuild():
     for copied, values in copies:
         assert not np.shares_memory(copied.value, state.value)
         assert copied.value.tolist() == values == rebuilt_values(copied)
+
+
+def fields(state):
+    """Everything a state holds besides its instance and tie buffer."""
+    return (
+        state.selection.tolist(), state.coverage.tolist(), state.value.tolist(),
+        state.objective, state.total_weight, state.expiry.tolist(),
+    )
+
+
+def test_refill_after_a_phase_equals_a_fresh_state():
+    # The small_compare benchmark family, which the replay pins leave out.
+    inst = bmcp.generate_instance(
+        bmcp.GeneratorSpec(m=100, n=300, density=0.03, capacity=300, seed=4)
+    )
+    rng = np.random.default_rng(9)
+    state = SearchState.from_selection(inst, bmcp.random_fill(inst, rng))
+    for _ in range(4):
+        bmcp.tabu_search(state, bmcp.ProbabilityVector.initial(inst.m), 20, 5, rng)
+        assert state.expiry.any()  # marks left by the phase
+        state._reserve(3 * inst.m)  # a grown tie buffer
+        sel = bmcp.random_fill(inst, rng)
+        state.refill(sel)
+        fresh = SearchState.from_selection(inst, sel)
+        assert fields(state) == fields(fresh)
+        marks = rng.integers(0, 4, size=inst.m)
+        state.expiry[:] = fresh.expiry[:] = marks
+        for threshold in (-50, -1, 0, 1, 50):
+            for swaps_only in (False, True):
+                got = _compiled_candidates(state, 2, threshold, swaps_only)
+                want = _compiled_candidates(fresh, 2, threshold, swaps_only)
+                assert (got[0].tolist(), got[1]) == (want[0].tolist(), want[1])
+
+
+def test_refill_over_capacity_changes_nothing(tiny):
+    s = state_of(tiny, [0])
+    s.expiry[:] = [3, 1, 2]
+    before = fields(s)
+    with pytest.raises(InfeasibleError):
+        s.refill(bmcp.selection_from_items(tiny.m, [1, 2]))
+    with pytest.raises(ValueError, match="shape"):
+        s.refill(np.ones(tiny.m + 1, dtype=bool))
+    assert fields(s) == before
+
+
+def test_refill_of_its_own_selection_rebuilds_the_state():
+    inst = make_instance(30, 40, 0.12, 0.45, seed=3)
+    sel = bmcp.random_fill(inst, np.random.default_rng(5))
+    s = SearchState.from_selection(inst, sel)
+    assert not np.shares_memory(s.selection, sel)
+    sel[:] = False  # the caller's array stays the caller's
+    want = fields(s)
+    s.refill(s.selection)
+    assert fields(s) == want and s.selection.any()
+
+
+def test_rounds_mode_solve_builds_one_core_struct(monkeypatch):
+    built = []
+
+    class Counted(bmcp._native.State):
+        def __init__(self, **kw):
+            built.append(kw["m"])
+            super().__init__(**kw)
+
+    monkeypatch.setattr(bmcp._native, "State", Counted)
+    inst = make_instance(30, 40, 0.12, 0.45, seed=3)
+    result = bmcp.solve(inst, bmcp.SolverConfig(seed=1, max_rounds=5, depth=20))
+    assert result.rounds == 5
+    assert built == [inst.m]
