@@ -36,24 +36,21 @@ FLAGS = ("-O2", "-shared", "-fPIC", "-std=c99")
 COMPILE_TIMEOUT_S = 120
 
 
-class _Struct(ctypes.Structure):
-    """A struct filled from keyword fields: an int as it is, an array as its
-    address. ``arrays`` keeps each array alive for the struct's life."""
-
-    def __init__(self, **fields):
-        self.arrays = {k: v for k, v in fields.items() if not isinstance(v, int)}
-        super().__init__(**{k: v.ctypes.data if k in self.arrays else v
-                            for k, v in fields.items()})
-
-
-class State(_Struct):
+class State(ctypes.Structure):
     """``bmcp_state``: the instance's arrays, one search state's, its tabu
-    expiry, and the scan's scratch and tie buffer."""
+    expiry, and the scan's scratch and tie buffer. Filled from keyword
+    fields, an int as it is and an array as its address; ``arrays`` keeps
+    each array alive for the struct's life."""
 
     _fields_ = [("m", ctypes.c_int64), *((name, ctypes.c_void_p) for name in (
         "indptr", "indices", "colptr", "colitems", "profits", "weights", "order",
         "selection", "coverage", "value", "corr", "expiry", "ties",
     )), ("capacity", ctypes.c_int64), ("best", ctypes.c_int64)]
+
+    def __init__(self, **fields):
+        self.arrays = {k: v for k, v in fields.items() if not isinstance(v, int)}
+        super().__init__(**{k: v.ctypes.data if k in self.arrays else v
+                            for k, v in fields.items()})
 
 
 def _compiler() -> list[str]:

@@ -2,9 +2,11 @@
 
 One run: build an initial solution, then alternate tabu phases with
 perturbation restarts until the wall-clock budget runs out (or a fixed
-round count in deterministic test mode). A run searches one state, which
-each restart refills in place. Each run owns a single rng seeded from the
-config, so a (config, instance) pair replays exactly in rounds mode.
+round count in deterministic test mode). A run searches one state: each
+tabu phase leaves it at the phase's best, and each restart refills it in
+place. The run's best is kept as a selection with its objective and
+weight. Each run owns a single rng seeded from the config, so a (config,
+instance) pair replays exactly in rounds mode.
 """
 
 from __future__ import annotations
@@ -111,7 +113,8 @@ def solve(inst: Instance, cfg: SolverConfig, observer=None) -> RunResult:
     state = initial_solution(inst, rng)
     if observer is not None:
         observer(state)
-    best = state.copy()
+    best_selection = state.selection.copy()
+    best_objective, best_weight = state.objective, state.total_weight
     time_to_best = time.perf_counter() - started
 
     prob = ProbabilityVector.initial(inst.m, cfg.reward_factor, cfg.punish_factor)
@@ -131,22 +134,23 @@ def solve(inst: Instance, cfg: SolverConfig, observer=None) -> RunResult:
             prob = ProbabilityVector.initial(
                 inst.m, cfg.reward_factor, cfg.punish_factor
             )
-        phase_best = tabu_search(state, prob, depth, tenure, rng, observer, deadline=deadline)
+        tabu_search(state, prob, depth, tenure, rng, observer, deadline=deadline)
         rounds += 1
-        if phase_best.objective > best.objective:
-            best = phase_best
+        if state.objective > best_objective:
+            best_selection[:] = state.selection
+            best_objective, best_weight = state.objective, state.total_weight
             time_to_best = time.perf_counter() - started
         if cfg.perturbation == "probability":
-            restart = probability_perturbation(phase_best, prob, rng)
+            restart = probability_perturbation(state, prob, rng)
         else:
-            restart = random_perturbation(phase_best, rng)
+            restart = random_perturbation(state, rng)
         state.refill(restart)
         if observer is not None:
             observer(state)
     return RunResult(
-        best_selection=best.selection.copy(),
-        best_objective=best.objective,
-        best_weight=best.total_weight,
+        best_selection=best_selection,
+        best_objective=best_objective,
+        best_weight=best_weight,
         time_to_best=time_to_best,
         rounds=rounds,
         seed=cfg.seed,

@@ -9,8 +9,9 @@ its uncovered elements) or the loss of a selected one (the profit of the
 elements it covers alone). Each flip is one call of ``bmcp_flip`` in
 ``_scan.c``, which touches the flipped item's elements and the columns of
 those whose coverage crosses 0<->1 or 1<->2; a swap is two flips. A state
-is built the same way: from the empty selection, whose values are the row
-profit sums, by flipping each selected item in.
+starts as the empty selection, whose values are the row profit sums, and
+reaches any other selection the same way: by flipping out the items it
+leaves, then flipping in the items it gains.
 
 A state searched by the compiled core also owns what its scans read and
 write besides: the per-item tabu ``expiry`` and the scan's tie buffer.
@@ -50,38 +51,30 @@ class SearchState:
 
     ``selection``, ``coverage`` and ``value`` are the state's own arrays,
     fixed for its life: the compiled core writes to them through the
-    state's ``core`` struct. A run refills one state at each restart.
+    state's ``core`` struct. Every change to them is a flip.
     """
 
     __slots__ = (
-        "instance", "_selection", "_coverage", "_value", "total_weight", "objective", "_core",
+        "instance", "_selection", "_coverage", "_value", "total_weight", "objective", "core",
     )
 
     def __init__(self, instance: Instance):
-        """Zeroed arrays for ``instance``, which :meth:`refill` fills."""
-        self.instance = instance
-        self._selection = np.zeros(instance.m, dtype=bool)
-        self._coverage = np.zeros(instance.n, dtype=np.int64)
-        self._value = np.zeros(instance.m, dtype=np.int64)
+        """The empty selection of ``instance``, with its move values."""
+        inst = self.instance = instance
+        self._selection = np.zeros(inst.m, dtype=bool)
+        self._coverage = np.zeros(inst.n, dtype=np.int64)
+        # Each row sums distinct elements' profits, so none reaches MAX_TOTAL.
+        self._value = inst.incidence @ inst.profits
         self.total_weight = self.objective = 0
-        self._core = None
-
-    @property
-    def core(self) -> _native.State:
-        """The compiled core's struct, filled when first used: at once for a
-        built state, never for a copy kept only as a record."""
-        if self._core is None:
-            inst = self.instance
-            colptr, colitems = inst.csc
-            self._core = _native.State(
-                m=inst.m, indptr=inst.indptr, indices=inst.indices, colptr=colptr,
-                colitems=colitems, profits=inst.profits, weights=inst.weights,
-                order=inst.order, selection=self._selection, coverage=self._coverage,
-                value=self._value, corr=np.zeros(inst.m, dtype=np.int64),
-                expiry=np.zeros(inst.m, dtype=np.int64),
-                ties=np.empty(inst.m, dtype=np.int64), capacity=inst.m,
-            )
-        return self._core
+        colptr, colitems = inst.csc
+        self.core = _native.State(
+            m=inst.m, indptr=inst.indptr, indices=inst.indices, colptr=colptr,
+            colitems=colitems, profits=inst.profits, weights=inst.weights,
+            order=inst.order, selection=self._selection, coverage=self._coverage,
+            value=self._value, corr=np.zeros(inst.m, dtype=np.int64),
+            expiry=np.zeros(inst.m, dtype=np.int64),
+            ties=np.empty(inst.m, dtype=np.int64), capacity=inst.m,
+        )
 
     def _reserve(self, capacity: int) -> None:
         """A tie buffer with room for ``capacity`` moves."""
@@ -119,34 +112,28 @@ class SearchState:
         return state
 
     def refill(self, selection) -> None:
-        """Load ``selection`` in place, with nothing tabu. Over capacity, it
-        raises :class:`InfeasibleError` and changes nothing."""
+        """Move to ``selection`` in place, with nothing tabu. Over capacity,
+        it raises :class:`InfeasibleError` and changes nothing."""
         inst = self.instance
         sel = as_selection(inst.m, selection)
         weight = int(inst.weights[sel].sum())
         if weight > inst.capacity:
             raise InfeasibleError(f"selection weight {weight} exceeds capacity {inst.capacity}")
-        # Taken before the reset, since ``selection`` may be this state's own.
-        items = np.flatnonzero(sel).tolist()
-        self._selection[:] = False
-        self._coverage[:] = 0
-        # Each row sums distinct elements' profits, so none reaches MAX_TOTAL.
-        self._value[:] = inst.incidence @ inst.profits
-        self.total_weight = self.objective = 0
+        self._walk_to(sel)
         self.expiry[:] = 0
-        for item in items:
+
+    def _walk_to(self, selection: np.ndarray) -> None:
+        """Flip out the selected items not in the feasible bool ``selection``,
+        then flip in the rest of it. Leaving first, the weight stays within
+        the larger of the two feasible weights."""
+        leaving = np.flatnonzero(self._selection & ~selection).tolist()
+        entering = np.flatnonzero(selection & ~self._selection).tolist()
+        for item in leaving + entering:
             self._flip(item)
 
     def copy(self) -> "SearchState":
-        """A record of this state: its own arrays, its struct not yet filled."""
-        twin = SearchState.__new__(SearchState)
-        twin.instance = self.instance
-        twin._selection = self._selection.copy()
-        twin._coverage = self._coverage.copy()
-        twin._value = self._value.copy()
-        twin.total_weight, twin.objective = self.total_weight, self.objective
-        twin._core = None
-        return twin
+        """A new state of this one's selection, with nothing tabu."""
+        return SearchState.from_selection(self.instance, self._selection)
 
     def _flip(self, item: int) -> None:
         delta = _native.lib.bmcp_flip(self.core, item)

@@ -161,31 +161,32 @@ def tabu_search(
     observer=None,
     deadline: float | None = None,
 ) -> SearchState:
-    """Run one tabu phase from ``state``; returns a copy of its best state.
+    """Run one tabu phase from ``state``, then flip it back to the best
+    selection the phase saw; returns ``state``.
 
-    ``state`` is mutated as the walk proceeds. The probability vector is
-    updated in place on every applied move: entering items are rewarded,
-    leaving items punished. ``observer``, when given, is called with the
-    state after every applied move. ``deadline`` (a perf_counter value)
-    cuts the phase short once the wall clock passes it.
+    The probability vector is updated in place on every applied move:
+    entering items are rewarded, leaving items punished. ``observer``,
+    when given, is called with the state after every applied move.
+    ``deadline`` (a perf_counter value) cuts the phase short once the wall
+    clock passes it.
 
     An item marked at iteration t stays tabu through iteration t + tenure
     and is admissible again from t + tenure + 1. The phase clears
     ``state.expiry`` and counts iterations from 1, so it starts with
-    nothing tabu.
+    nothing tabu; it leaves the marks of its last move.
     """
     # The expiry is int64. No phase runs MAX_TOTAL iterations, so clamping
     # there changes no move.
     tenure = min(tenure, MAX_TOTAL)
     expiry = state.expiry
     expiry[:] = 0
-    best = state.copy()
+    best_selection, best_objective = state.selection.copy(), state.objective
     non_improving = 0
     iteration = 1
     while non_improving < depth:
         if deadline is not None and time.perf_counter() >= deadline:
             break
-        move = select_move(state, iteration, best.objective, rng)
+        move = select_move(state, iteration, best_objective, rng)
         if move is None:
             break
         state.apply(move)
@@ -197,10 +198,12 @@ def tabu_search(
             else:
                 prob.punish(item)
             expiry[item] = iteration + tenure
-        if state.objective > best.objective:
-            best = state.copy()
+        if state.objective > best_objective:
+            best_selection[:] = state.selection
+            best_objective = state.objective
             non_improving = 0
         else:
             non_improving += 1
         iteration += 1
-    return best
+    state._walk_to(best_selection)
+    return state

@@ -116,6 +116,12 @@ UNDER_SANITIZER = """
     test_state.test_random_walk_matches_rebuild()
     # A refill rewrites the arrays the struct points at, under a grown buffer.
     test_state.test_refill_after_a_phase_equals_a_fresh_state()
+    # A state built whole, refills by its differing items, and a phase that
+    # flips back to its best.
+    test_state.test_constructor_builds_the_empty_state()
+    test_state.test_refill_flips_only_the_differing_items()
+    test_state.test_refill_between_feasible_selections_matches_rebuild()
+    test_tabu.test_tabu_search_ends_at_its_best()
     test_solver.test_rounds_mode_replays_pinned_moves(*test_solver.REPLAY_PINS[0])
     # One state refilled every round: a write past its arrays or its tie
     # buffer, or a struct left on a dead copy's arrays, shows.

@@ -112,6 +112,19 @@ def test_carry_probability_keeps_the_vector_across_phases(carry, monkeypatch):
             assert np.array_equal(entry, left)
 
 
+@pytest.mark.parametrize("policy", bmcp.solver.PERTURBATIONS)
+def test_rounds_mode_solve_never_copies_a_state(policy, monkeypatch):
+    def refuse(state):
+        raise AssertionError("a search state was copied")
+
+    monkeypatch.setattr(bmcp.SearchState, "copy", refuse)
+    inst = make_instance(30, 40, 0.12, 0.45, seed=3)
+    result = bmcp.solve(
+        inst, SolverConfig(seed=1, max_rounds=5, depth=20, perturbation=policy)
+    )
+    assert result.rounds == 5
+
+
 def test_policies_diverge_on_same_seed():
     inst = make_instance(50, 60, 0.08, 0.35, seed=8)
     base = SolverConfig(seed=2, max_rounds=4, depth=60)

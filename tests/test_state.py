@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bmcp
 from bmcp import Flip, InfeasibleError, SearchState, Swap
-from bmcp.tabu import _compiled_candidates
-from conftest import flip_delta, make_instance, move_delta, rebuild, swap_delta
+from bmcp.tabu import _compiled_candidates, select_move
+from conftest import csr, flip_delta, make_instance, move_delta, rebuild, swap_delta
 
 
 def state_of(inst, items):
@@ -211,3 +213,92 @@ def test_rounds_mode_solve_builds_one_core_struct(monkeypatch):
     result = bmcp.solve(inst, bmcp.SolverConfig(seed=1, max_rounds=5, depth=20))
     assert result.rounds == 5
     assert built == [inst.m]
+
+
+def test_constructor_builds_the_empty_state():
+    inst = bmcp.generate_instance(
+        bmcp.GeneratorSpec(m=20, n=40, density=0.1, capacity=300, seed=1)
+    )
+    built = SearchState(inst)
+    refilled = SearchState.from_selection(inst, np.zeros(inst.m, dtype=bool))
+    assert fields(built) == fields(refilled)
+    assert built.value.tolist() == rebuilt_values(built)
+    for threshold in (-50, -1, 0, 1, 50):
+        for swaps_only in (False, True):
+            got = _compiled_candidates(built, 1, threshold, swaps_only)
+            want = _compiled_candidates(refilled, 1, threshold, swaps_only)
+            assert (got[0].tolist(), got[1]) == (want[0].tolist(), want[1])
+    picks = [select_move(s, 1, 0, np.random.default_rng(0)) for s in (built, refilled)]
+    assert picks == [Flip(11), Flip(11)]
+
+
+class Recording(SearchState):
+    """A state that records each flip: the item and whether it left."""
+
+    __slots__ = ("flips",)
+
+    def __init__(self, instance):
+        self.flips = []
+        super().__init__(instance)
+
+    def _flip(self, item):
+        self.flips.append((item, bool(self.selection[item])))
+        super()._flip(item)
+
+
+def test_refill_flips_only_the_differing_items():
+    inst = make_instance(30, 40, 0.12, 0.45, seed=3)
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        a = bmcp.random_fill(inst, rng)
+        b = bmcp.random_fill(inst, rng, a & (rng.random(inst.m) < 0.5))
+        state = Recording.from_selection(inst, a)
+        state.expiry[:] = 7
+        state.flips.clear()
+        state.refill(b)
+        leaving = np.flatnonzero(a & ~b).tolist()
+        entering = np.flatnonzero(b & ~a).tolist()
+        assert state.flips == [(i, True) for i in leaving] + [(i, False) for i in entering]
+        assert len(state.flips) == np.count_nonzero(a != b)
+        assert fields(state) == fields(SearchState.from_selection(inst, b))
+
+
+@st.composite
+def two_feasible_selections(draw):
+    """A small instance, often degenerate (empty rows, uncovered elements,
+    tied weights, capacity 0), and two feasible selections of it."""
+    m = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 10))
+    rows = draw(st.lists(st.lists(st.integers(0, n - 1), max_size=n), min_size=m, max_size=m))
+    weights = draw(st.lists(st.integers(1, 3), min_size=m, max_size=m))
+    profits = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    inst = bmcp.Instance(
+        weights=np.array(weights), profits=np.array(profits),
+        capacity=draw(st.integers(0, sum(weights))), **csr(rows),
+    )
+
+    def feasible():
+        # The drawn items in order, each kept while it fits.
+        sel = np.zeros(m, dtype=bool)
+        weight = 0
+        for item, wanted in enumerate(draw(st.lists(st.booleans(), min_size=m, max_size=m))):
+            if wanted and weight + weights[item] <= inst.capacity:
+                sel[item] = True
+                weight += weights[item]
+        return sel
+
+    return inst, feasible(), feasible()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(two_feasible_selections())
+def test_refill_between_feasible_selections_matches_rebuild(case):
+    inst, a, b = case
+    state = SearchState.from_selection(inst, a)
+    state.refill(b)
+    counts, weight, objective = rebuild(inst, b)
+    assert state.selection.tolist() == b.tolist()
+    assert state.coverage.tolist() == counts.tolist()
+    assert (state.total_weight, state.objective) == (weight, objective)
+    assert state.value.tolist() == rebuilt_values(state)
+    assert not state.expiry.any()

@@ -450,18 +450,28 @@ def test_tabu_search_respects_deadline():
     assert time.perf_counter() - started < 2.0
 
 
-def test_tabu_search_best_is_a_copy(tiny):
-    state = state_of(tiny, [0])
-    best = bmcp.tabu_search(
-        state,
-        bmcp.ProbabilityVector.initial(3),
-        5, 2,
-        np.random.default_rng(3),
+def test_tabu_search_ends_at_its_best():
+    inst = make_instance(40, 50, 0.1, 0.4, seed=15)
+    state = SearchState.from_selection(
+        inst, bmcp.random_fill(inst, np.random.default_rng(4))
     )
-    assert best is not state
-    frozen = (best.objective, best.selection.copy())
-    selected = np.flatnonzero(state.selection)
-    assert selected.size
-    state.apply(Flip(int(selected[0])))
-    assert best.objective == frozen[0]
-    assert np.array_equal(best.selection, frozen[1])
+    start = state.objective
+    seen = []
+    tenure = 5
+    ended = bmcp.tabu_search(
+        state, bmcp.ProbabilityVector.initial(inst.m), 30, tenure,
+        np.random.default_rng(3),
+        observer=lambda s: seen.append((s.objective, s.selection.copy())),
+    )
+    assert ended is state
+    assert state.objective == max(start, *(f for f, _ in seen)) > start
+    # The walk went on past its best, so the phase flipped back to it.
+    assert not np.array_equal(seen[-1][1], state.selection)
+    rebuilt = SearchState.from_selection(inst, state.selection)
+    for name in ("selection", "coverage", "value"):
+        assert getattr(state, name).tolist() == getattr(rebuilt, name).tolist()
+    assert (state.total_weight, state.objective) == (rebuilt.total_weight, rebuilt.objective)
+    # Move t marks its items through t + tenure; the last move is move len(seen).
+    last = np.flatnonzero(seen[-2][1] != seen[-1][1]).tolist()
+    assert np.flatnonzero(state.expiry == len(seen) + tenure).tolist() == last
+    assert state.expiry.max() == len(seen) + tenure
