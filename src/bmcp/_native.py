@@ -1,11 +1,17 @@
 """Loader of the compiled search core in ``_scan.c``, and its struct.
 
-``lib`` is the loaded library: ``lib.bmcp_scan`` is the only move scan of
-:mod:`bmcp.tabu`, and ``lib.bmcp_flip`` applies every flip of
-:class:`bmcp.state.SearchState`. Both take a :class:`State` (``bmcp_state``,
-one per search state, with the state's tabu expiry, a scratch ``corr`` that
-the scan leaves all zero, and the scan's tie buffer). This mirror is the one
-place in Python that lays out the core's memory.
+``lib`` is the loaded library. A tabu move is two of its calls:
+``lib.bmcp_pick`` scans the flip and swap neighbourhoods and draws the
+tie-break from the run's bit generator, through the generator's ctypes
+``state_address`` and ``next_uint32``, exactly as ``Generator.integers``
+would; ``lib.bmcp_move`` checks and applies the picked flip or swap.
+``lib.bmcp_walk`` flips a state to another selection, and
+``lib.bmcp_scan`` is the scan alone. Every flip keeps the state's weight
+and objective in the struct. All take a
+:class:`State` (``bmcp_state``, one per search state, with the state's tabu
+expiry, its weight, objective and clamped capacity, a scratch ``corr`` that
+the scan leaves all zero, and the scan's tie buffer). This mirror is the
+one place in Python that lays out the core's memory.
 
 The first read of ``lib`` builds ``_scan.c`` with the interpreter's C
 compiler (``sysconfig``'s ``CC``) into the package's ``__pycache__``, named
@@ -34,18 +40,22 @@ SOURCE = Path(__file__).with_name("_scan.c")
 CACHE_DIR = SOURCE.parent / "__pycache__"
 FLAGS = ("-O2", "-shared", "-fPIC", "-std=c99")
 COMPILE_TIMEOUT_S = 120
+# The type of a numpy bit generator's ``ctypes.next_uint32``.
+NEXT_UINT32 = ctypes.CFUNCTYPE(ctypes.c_uint32, ctypes.c_void_p)
 
 
 class State(ctypes.Structure):
     """``bmcp_state``: the instance's arrays, one search state's, its tabu
-    expiry, and the scan's scratch and tie buffer. Filled from keyword
-    fields, an int as it is and an array as its address; ``arrays`` keeps
-    each array alive for the struct's life."""
+    expiry, the scan's scratch and tie buffer, and the state's scalars.
+    Filled from keyword fields, an int as it is and an array as its
+    address; ``arrays`` keeps each array alive for the struct's life."""
 
     _fields_ = [("m", ctypes.c_int64), *((name, ctypes.c_void_p) for name in (
         "indptr", "indices", "colptr", "colitems", "profits", "weights", "order",
         "selection", "coverage", "value", "corr", "expiry", "ties",
-    )), ("capacity", ctypes.c_int64), ("best", ctypes.c_int64)]
+    )), *((name, ctypes.c_int64) for name in (
+        "capacity", "best", "budget", "weight", "objective", "count",
+    ))]
 
     def __init__(self, **fields):
         self.arrays = {k: v for k, v in fields.items() if not isinstance(v, int)}
@@ -81,12 +91,17 @@ def _compile(cc: list[str], target: Path) -> None:
 
 def _open(path: Path):
     lib = ctypes.CDLL(str(path))
-    i64 = ctypes.c_int64
+    i64, state = ctypes.c_int64, ctypes.POINTER(State)
     # Then iteration, headroom, threshold and swaps_only.
-    lib.bmcp_scan.argtypes = [ctypes.POINTER(State), i64, i64, i64, i64]
-    lib.bmcp_flip.argtypes = [ctypes.POINTER(State), i64]
-    for fn in (lib.bmcp_scan, lib.bmcp_flip):
+    lib.bmcp_scan.argtypes = [state, i64, i64, i64, i64]
+    # Then iteration, best_so_far, swaps_only, and the bit generator's
+    # state address and next_uint32.
+    lib.bmcp_pick.argtypes = [state, i64, i64, i64, ctypes.c_void_p, NEXT_UINT32]
+    lib.bmcp_move.argtypes = [state, i64, i64]
+    lib.bmcp_walk.argtypes = [state, ctypes.c_void_p]
+    for fn in (lib.bmcp_scan, lib.bmcp_pick, lib.bmcp_move):
         fn.restype = i64
+    lib.bmcp_walk.restype = None
     return lib
 
 

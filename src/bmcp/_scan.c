@@ -3,8 +3,11 @@
  * A search state keeps, besides its selection and coverage counts, each
  * item's move value: for an unselected item the gain of flipping it in (the
  * profit of its uncovered elements), for a selected one the loss of flipping
- * it out (the profit of the elements it covers alone). `bmcp_flip` updates
- * all three on every flip; `bmcp_scan` reads them.
+ * it out (the profit of the elements it covers alone), and its weight and
+ * objective. `bmcp_flip` updates all of them on every flip; `bmcp_move`
+ * applies a checked flip or swap and `bmcp_walk` walks to another
+ * selection, both by flips. `bmcp_scan` reads them, and `bmcp_pick` scans
+ * and draws the tie-break from the run's own bit generator.
  *
  * It reads one struct per search state, `bmcp_state`: the instance's arrays,
  * the state's own, its per-item tabu expiry and the scan's scratch and ties.
@@ -30,16 +33,19 @@ typedef struct {
     const int64_t *expiry;            /* the iteration through which each item is tabu */
     int64_t *ties;
     int64_t capacity, best; /* room in ties; the best delta of the last scan */
+    int64_t budget;         /* the instance's capacity, clamped to 2^62 */
+    int64_t weight, objective;
+    int64_t count; /* the tie count of the last scan */
 } bmcp_state;
 
-/* Flip `item` in or out; returns the change in objective.
+/* Flip `item` in or out, unchecked.
  *
  * Only elements whose coverage crosses 0<->1 or 1<->2 change a value: at
  * 0<->1 the gain of every other item covering the element, at 1<->2 the loss
  * of the one selected item that covers it alone (before a flip in, after a
  * flip out). The flipped item's own new value is the size of the change.
  */
-int64_t bmcp_flip(bmcp_state *s, int64_t item)
+static void bmcp_flip(bmcp_state *s, int64_t item)
 {
     int64_t in = s->selection[item] == 0, moved = 0;
     for (int64_t k = s->indptr[item]; k < s->indptr[item + 1]; k++) {
@@ -66,7 +72,45 @@ int64_t bmcp_flip(bmcp_state *s, int64_t item)
     }
     s->selection[item] = (uint8_t)in;
     s->value[item] = moved;
-    return in ? moved : -moved;
+    s->weight += in ? s->weights[item] : -s->weights[item];
+    s->objective += in ? moved : -moved;
+}
+
+/* Walk to `target`, a feasible selection of m bytes, each 0 or 1: flip out
+ * the selected items not in it, then flip in the rest of it. Leaving first,
+ * the weight stays within the larger of the two. */
+void bmcp_walk(bmcp_state *s, const uint8_t *target)
+{
+    for (int64_t i = 0; i < s->m; i++)
+        if (s->selection[i] & !target[i])
+            bmcp_flip(s, i);
+    for (int64_t i = 0; i < s->m; i++)
+        if (target[i] & !s->selection[i])
+            bmcp_flip(s, i);
+}
+
+/* Apply the flip of item a (b < 0) or the swap of selected a for unselected
+ * b. Returns 0 once applied; without a change, 1 when a swap's a is not
+ * selected, 2 when its b is already selected, 3 when the move would exceed
+ * the budget. Items must lie in 0..m-1. */
+int64_t bmcp_move(bmcp_state *s, int64_t a, int64_t b)
+{
+    const int64_t *w = s->weights;
+    if (b < 0) {
+        if (!s->selection[a] && s->weight + w[a] > s->budget)
+            return 3;
+        bmcp_flip(s, a);
+        return 0;
+    }
+    if (!s->selection[a])
+        return 1;
+    if (s->selection[b])
+        return 2;
+    if (s->weight + (w[b] - w[a]) > s->budget)
+        return 3;
+    bmcp_flip(s, a);
+    bmcp_flip(s, b);
+    return 0;
 }
 
 static int by_code(const void *x, const void *y)
@@ -82,25 +126,27 @@ static int by_code(const void *x, const void *y)
  * `m + m*a + b` for the swap of selected item a for unselected item b. The
  * order is flip-ins, flip-outs, then swaps by (a, b), each in ascending item
  * order. At most `s->capacity` moves are written, but all are counted, and
- * the count is returned (0 when nothing is admissible). `s->best` receives
- * the best delta.
+ * the count is returned (0 when nothing is admissible) and kept in
+ * `s->count`. `s->best` receives the best delta.
  *
- * For each selected a, only the entering items no heavier than
- * headroom + w[a] are walked, in (weight, item) order; the swap ties are
- * sorted back into code order at the end.
+ * One pass over the selected items considers each one's flip-out and then
+ * its swaps, walking only the entering items no heavier than
+ * headroom + w[a], in (weight, item) order. The ties after the flip-ins are
+ * sorted back into code order at the end: a flip-out's code, below m, sorts
+ * before every swap's.
  */
 int64_t bmcp_scan(bmcp_state *s, int64_t iteration, int64_t headroom,
                   int64_t threshold, int64_t swaps_only)
 {
     const int64_t m = s->m, *expiry = s->expiry;
-    int64_t best = INT64_MIN, count = 0;
+    int64_t best = INT64_MIN, count = 0, nin = 0; /* nin: flip-in ties in front */
 #define CONSIDER(delta, ok, code)                                   \
     do {                                                            \
         int64_t d_ = (delta);                                       \
         if ((ok) & (d_ >= best)) {                                  \
             if (d_ > best) {                                        \
                 best = d_;                                          \
-                count = 0;                                          \
+                count = nin = 0;                                    \
             }                                                       \
             if (count < s->capacity)                                \
                 s->ties[count] = (code);                            \
@@ -114,15 +160,16 @@ int64_t bmcp_scan(bmcp_state *s, int64_t iteration, int64_t headroom,
             CONSIDER(d, (s->selection[b] == 0) & (s->weights[b] <= headroom)
                             & ((expiry[b] < iteration) | (d > threshold)), b);
         }
-        for (int64_t a = 0; a < m; a++) {
-            int64_t d = -s->value[a];
-            CONSIDER(d, s->selection[a] & ((expiry[a] < iteration) | (d > threshold)), a);
-        }
+        nin = count;
     }
 
     for (int64_t a = 0; a < m; a++) {
         if (!s->selection[a])
             continue;
+        if (!swaps_only) {
+            int64_t d = -s->value[a];
+            CONSIDER(d, (expiry[a] < iteration) | (d > threshold), a);
+        }
         int64_t limit = headroom + s->weights[a];
         /* corr[b], the correction of swapping b in for a: the profit of each
          * element a covers alone goes to every item covering it. Both loops
@@ -153,12 +200,54 @@ int64_t bmcp_scan(bmcp_state *s, int64_t iteration, int64_t headroom,
     }
 #undef CONSIDER
 
-    if (count <= s->capacity) {
-        int64_t f = 0;
-        while (f < count && s->ties[f] < m)
-            f++;
-        qsort(s->ties + f, (size_t)(count - f), sizeof *s->ties, by_code);
-    }
+    if (count <= s->capacity)
+        qsort(s->ties + nin, (size_t)(count - nin), sizeof *s->ties, by_code);
     s->best = best;
+    s->count = count;
     return count;
+}
+
+/* A uniform draw from 0..bound-1, for 2 <= bound <= 2^32, exactly as numpy's
+ * `Generator.integers(bound)` makes it: a 32-bit Lemire draw with rejection
+ * (Lemire, arXiv:1805.10941), each word from the bit generator's
+ * `next_uint32`. Bounds above 2^32 take numpy's 64-bit draw, which this is
+ * not, so `bmcp_pick` refuses them. */
+static uint32_t draw(void *rng, uint32_t (*next_uint32)(void *), uint64_t bound)
+{
+    uint32_t top = (uint32_t)(bound - 1);
+    if (top == UINT32_MAX)
+        return next_uint32(rng);
+    uint32_t span = top + 1;
+    uint64_t scaled = (uint64_t)next_uint32(rng) * span;
+    uint32_t leftover = (uint32_t)scaled;
+    if (leftover < span) {
+        uint32_t threshold = (UINT32_MAX - top) % span;
+        while (leftover < threshold) {
+            scaled = (uint64_t)next_uint32(rng) * span;
+            leftover = (uint32_t)scaled;
+        }
+    }
+    return (uint32_t)(scaled >> 32);
+}
+
+/* Pick the move the tabu search makes at `iteration`: scan with the state's
+ * headroom and the aspiration threshold `best_so_far - objective`, then
+ * break ties uniformly with one draw from the run's bit generator (`rng` and
+ * its `next_uint32`); one tie draws nothing. Returns the move's code, or -1
+ * without a draw when there is no move, when the ties overflowed the buffer
+ * (then `s->count > s->capacity`, and a pick after growing the buffer scans
+ * again) or when they number above 2^32 (then the caller refuses the pick).
+ * `swaps_only` is the descent's pick: swaps only, and none unless the best
+ * one improves, checked before any draw.
+ *
+ * |best_so_far| must stay within 2^62, so the threshold cannot wrap. */
+int64_t bmcp_pick(bmcp_state *s, int64_t iteration, int64_t best_so_far,
+                  int64_t swaps_only, void *rng, uint32_t (*next_uint32)(void *))
+{
+    int64_t count = bmcp_scan(s, iteration, s->budget - s->weight,
+                              best_so_far - s->objective, swaps_only);
+    if (count == 0 || count > s->capacity || count > (INT64_C(1) << 32)
+        || (swaps_only && s->best <= 0))
+        return -1;
+    return s->ties[count == 1 ? 0 : draw(rng, next_uint32, (uint64_t)count)];
 }

@@ -6,12 +6,15 @@ summed profit over elements with positive coverage, and ``total_weight``
 never exceeds the capacity. ``value[i]`` is what flipping item i changes the
 objective by, in magnitude: the gain of an unselected item (the profit of
 its uncovered elements) or the loss of a selected one (the profit of the
-elements it covers alone). Each flip is one call of ``bmcp_flip`` in
+elements it covers alone). Every change is a flip by ``bmcp_flip`` in
 ``_scan.c``, which touches the flipped item's elements and the columns of
-those whose coverage crosses 0<->1 or 1<->2; a swap is two flips. A state
-starts as the empty selection, whose values are the row profit sums, and
-reaches any other selection the same way: by flipping out the items it
-leaves, then flipping in the items it gains.
+those whose coverage crosses 0<->1 or 1<->2, and keeps the weight and the
+objective in the state's struct; a swap is two flips.
+:meth:`SearchState.apply` checks and applies a move in one call of
+``bmcp_move``. A state starts as the empty selection, whose values are the
+row profit sums, and reaches any other selection in one call of
+``bmcp_walk``: by flipping out the items it leaves, then flipping in the
+items it gains.
 
 A state searched by the compiled core also owns what its scans read and
 write besides: the per-item tabu ``expiry`` and the scan's tie buffer.
@@ -25,7 +28,7 @@ import numpy as np
 
 from . import _native
 from .errors import InfeasibleError
-from .instance import Instance, as_selection
+from .instance import MAX_TOTAL, Instance, as_selection
 
 
 @dataclass(frozen=True)
@@ -50,13 +53,12 @@ class SearchState:
     """Mutable selection plus derived quantities, one owner at a time.
 
     ``selection``, ``coverage`` and ``value`` are the state's own arrays,
-    fixed for its life: the compiled core writes to them through the
-    state's ``core`` struct. Every change to them is a flip.
+    fixed for its life: the compiled core writes to them, and to the
+    weight and objective, through the state's ``core`` struct. Every
+    change to them is a flip.
     """
 
-    __slots__ = (
-        "instance", "_selection", "_coverage", "_value", "total_weight", "objective", "core",
-    )
+    __slots__ = ("instance", "_selection", "_coverage", "_value", "core")
 
     def __init__(self, instance: Instance):
         """The empty selection of ``instance``, with its move values."""
@@ -65,7 +67,6 @@ class SearchState:
         self._coverage = np.zeros(inst.n, dtype=np.int64)
         # Each row sums distinct elements' profits, so none reaches MAX_TOTAL.
         self._value = inst.incidence @ inst.profits
-        self.total_weight = self.objective = 0
         colptr, colitems = inst.csc
         self.core = _native.State(
             m=inst.m, indptr=inst.indptr, indices=inst.indices, colptr=colptr,
@@ -74,6 +75,9 @@ class SearchState:
             value=self._value, corr=np.zeros(inst.m, dtype=np.int64),
             expiry=np.zeros(inst.m, dtype=np.int64),
             ties=np.empty(inst.m, dtype=np.int64), capacity=inst.m,
+            # ctypes wraps ints to int64 silently. No feasible weight
+            # reaches MAX_TOTAL, so clamping there changes no check.
+            budget=min(inst.capacity, MAX_TOTAL),
         )
 
     def _reserve(self, capacity: int) -> None:
@@ -97,6 +101,16 @@ class SearchState:
         """Gain of flipping each unselected item in, loss of flipping each
         selected one out, int64 (m,)."""
         return self._value
+
+    @property
+    def total_weight(self) -> int:
+        """Summed weight of the selected items."""
+        return self.core.weight
+
+    @property
+    def objective(self) -> int:
+        """Summed profit of the covered elements."""
+        return self.core.objective
 
     @property
     def expiry(self) -> np.ndarray:
@@ -124,47 +138,35 @@ class SearchState:
 
     def _walk_to(self, selection: np.ndarray) -> None:
         """Flip out the selected items not in the feasible bool ``selection``,
-        then flip in the rest of it. Leaving first, the weight stays within
-        the larger of the two feasible weights."""
-        leaving = np.flatnonzero(self._selection & ~selection).tolist()
-        entering = np.flatnonzero(selection & ~self._selection).tolist()
-        for item in leaving + entering:
-            self._flip(item)
+        then flip in the rest of it."""
+        target = np.ascontiguousarray(selection)
+        _native.lib.bmcp_walk(self.core, target.ctypes.data)
 
     def copy(self) -> "SearchState":
         """A new state of this one's selection, with nothing tabu."""
         return SearchState.from_selection(self.instance, self._selection)
 
-    def _flip(self, item: int) -> None:
-        delta = _native.lib.bmcp_flip(self.core, item)
-        weight = int(self.instance.weights[item])
-        # Selected now means the item went in.
-        self.total_weight += weight if self._selection[item] else -weight
-        self.objective += delta
-
     def apply(self, move: Move) -> None:
-        """Apply in place; raises :class:`InfeasibleError` on a misfit."""
-        inst = self.instance
-        items = (move.item,) if isinstance(move, Flip) else (move.out_item, move.in_item)
-        for item in items:
-            if not 0 <= item < inst.m:
-                raise ValueError(f"item {item} out of range 0..{inst.m - 1}")
+        """Apply in place; raises :class:`InfeasibleError` on a misfit, and
+        :class:`ValueError` on an item out of range or a swap of an
+        unselected item or for a selected one, changing nothing."""
+        core = self.core
+        m = core.m
         if isinstance(move, Flip):
-            if (
-                not self._selection[move.item]
-                and self.total_weight + inst.weights[move.item] > inst.capacity
-            ):
-                raise InfeasibleError(f"flip of item {move.item} exceeds capacity")
-            self._flip(move.item)
-            return
-        if not self._selection[move.out_item]:
-            raise ValueError(f"out_item {move.out_item} is not selected")
-        if self._selection[move.in_item]:
-            raise ValueError(f"in_item {move.in_item} is already selected")
-        dw = inst.weights[move.in_item] - inst.weights[move.out_item]
-        if self.total_weight + dw > inst.capacity:
-            raise InfeasibleError(
-                f"swap {move.out_item}->{move.in_item} exceeds capacity"
-            )
-        self._flip(move.out_item)
-        self._flip(move.in_item)
+            a, b = move.item, -1
+            bad = not 0 <= a < m
+        else:
+            a, b = move.out_item, move.in_item
+            bad = not (0 <= a < m and 0 <= b < m)
+        # ctypes wraps ints to int64 silently, so the range is checked here.
+        if bad:
+            item = a if not 0 <= a < m else b
+            raise ValueError(f"item {item} out of range 0..{m - 1}")
+        status = _native.lib.bmcp_move(core, a, b)
+        if status == 1:
+            raise ValueError(f"out_item {a} is not selected")
+        if status == 2:
+            raise ValueError(f"in_item {b} is already selected")
+        if status == 3:
+            what = f"flip of item {a}" if b < 0 else f"swap {a}->{b}"
+            raise InfeasibleError(f"{what} exceeds capacity")

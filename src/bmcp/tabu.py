@@ -6,15 +6,18 @@ consecutive non-improving iterations or when no admissible move exists.
 Both items touched by a move become tabu for ``tenure`` iterations;
 a tabu move is still admitted when it would beat the best objective seen
 so far in the phase (aspiration). Exact ties in the integer move deltas
-are broken uniformly at random.
+are broken uniformly at random, with the draw ``rng.integers(ties)`` makes.
 
 Every move delta is formed in int64, with no float step, from the move
-values that the flips of a :class:`~bmcp.state.SearchState` keep. Each
-pick is one pass of the compiled scan in ``_scan.c``, which
-:mod:`bmcp._native` builds on first use. The scan reads the state's move
-values and tabu ``expiry``, and for each leaving item walks only the
-entering items light enough to fit. :data:`bmcp.instance.MAX_TOTAL`
-bounds the instance totals so that no intermediate can overflow.
+values that the flips of a :class:`~bmcp.state.SearchState` keep. A move
+is two calls of the compiled core in ``_scan.c``, which
+:mod:`bmcp._native` builds on first use: ``bmcp_pick`` scans and draws the
+tie-break from the run's bit generator, and ``bmcp_move`` (through
+:meth:`~bmcp.state.SearchState.apply`) checks and applies the move. The
+scan reads the state's move values and tabu ``expiry``, and for each
+leaving item walks only the entering items light enough to fit.
+:data:`bmcp.instance.MAX_TOTAL` bounds the instance totals so that no
+intermediate can overflow.
 """
 
 from __future__ import annotations
@@ -50,34 +53,42 @@ def tabu_depth(m: int) -> int:
     return (1100 - m) * 20
 
 
-def _compiled_candidates(
-    state: SearchState, iteration: int, threshold: int, swaps_only: bool
-) -> tuple[np.ndarray, int]:
-    """Every admissible move at the best delta, in scan order, and that delta.
-
-    One pass of ``bmcp_scan`` from :data:`bmcp._native.lib`; ``_scan.c``
-    documents the scan order and the item codes the moves come as, which
-    :func:`_move` decodes. Admissible: feasible and either free at
-    ``iteration`` (``state.expiry`` below it) or past the aspiration bar,
-    ``delta > threshold``. ``swaps_only`` leaves the flips out. When the
-    ties overflow the state's buffer, it grows and the scan runs again.
-    """
-    inst = state.instance
-    # ctypes wraps ints to int64 silently. No weight difference or delta
-    # reaches MAX_TOTAL, so clamping there changes no comparison.
-    headroom = min(inst.capacity - state.total_weight, MAX_TOTAL)
-    threshold = max(-MAX_TOTAL, min(threshold, MAX_TOTAL))
-    core = state.core
-    while True:
-        count = _native.lib.bmcp_scan(core, iteration, headroom, threshold, swaps_only)
-        if count <= core.capacity:
-            return core.arrays["ties"][:count].copy(), core.best
-        state._reserve(max(count, 2 * core.capacity))
-
-
 def _move(m: int, code: int) -> Move:
     """The move a scan code stands for on ``m`` items."""
     return Flip(code) if code < m else Swap(*divmod(code - m, m))
+
+
+def _pick(
+    state: SearchState, iteration: int, best_so_far: int, swaps_only: bool,
+    rng: np.random.Generator,
+) -> int:
+    """The code of the move ``bmcp_pick`` makes, or -1 for none.
+
+    One pass of the compiled scan, then the tie-break drawn from ``rng``'s
+    bit generator under its lock; ``_scan.c`` documents the scan order and
+    the item codes, which :func:`_move` decodes. When the ties overflow
+    the state's buffer, it grows and the pick runs again. A tie set above
+    2^32 moves, which numpy would draw from with its 64-bit draw, raises
+    :class:`ValueError`.
+    """
+    core, bits = state.core, rng.bit_generator
+    native = bits.ctypes
+    # ctypes wraps ints to int64 silently. No objective or delta reaches
+    # MAX_TOTAL, and no stored expiry reaches 2^63 - 1, so clamping there
+    # changes no comparison.
+    iteration = max(-(2**63), min(iteration, 2**63 - 1))
+    best_so_far = max(-MAX_TOTAL, min(best_so_far, MAX_TOTAL))
+    while True:
+        with bits.lock:
+            code = _native.lib.bmcp_pick(
+                core, iteration, best_so_far, swaps_only,
+                native.state_address, native.next_uint32,
+            )
+        if core.count > 2**32:
+            raise ValueError(f"{core.count} tied moves exceed the 2^32 the pick draws from")
+        if code >= 0 or core.count <= core.capacity:
+            return code
+        state._reserve(max(core.count, 2 * core.capacity))
 
 
 def select_move(
@@ -90,15 +101,13 @@ def select_move(
 
     Admissible: feasible and either non-tabu or past the aspiration bar,
     that is pushing the objective strictly past ``best_so_far``. The best
-    may worsen the objective; ties break uniformly via ``rng`` over the
-    candidates in order: flip-ins, flip-outs, then swaps by (leaving,
-    entering) item. One tie draws nothing.
+    may worsen the objective; ties break uniformly, drawn from ``rng``
+    exactly as ``rng.integers(ties)`` would, over the candidates in order:
+    flip-ins, flip-outs, then swaps by (leaving, entering) item. One tie
+    draws nothing.
     """
-    ties, _ = _compiled_candidates(state, iteration, best_so_far - state.objective, False)
-    if not ties.size:
-        return None
-    pick = ties[0] if ties.size == 1 else ties[rng.integers(ties.size)]
-    return _move(state.instance.m, int(pick))
+    code = _pick(state, iteration, best_so_far, False, rng)
+    return None if code < 0 else _move(state.instance.m, code)
 
 
 def random_fill(
@@ -134,16 +143,15 @@ def descent_local_search(
 ) -> SearchState:
     """Apply best improving swaps until none exists; mutates and returns state.
 
-    Each step draws its tie-break from ``rng``, even with a single tie.
-    Tabu marks are ignored: no swap loses MAX_TOTAL (the profit total is
-    below it), so every feasible swap passes the aspiration bar.
+    Each step breaks ties as :func:`select_move` does, and draws nothing
+    when no swap improves. Tabu marks are ignored: no swap loses MAX_TOTAL
+    (the profit total is below it), so every feasible swap passes the
+    aspiration bar.
     """
-    while True:
-        ties, best = _compiled_candidates(state, 0, -MAX_TOTAL, True)
-        if not ties.size or best <= 0:
-            return state
-        pick = ties[rng.integers(ties.size)]
-        state.apply(_move(state.instance.m, int(pick)))
+    m = state.instance.m
+    while (code := _pick(state, 0, -MAX_TOTAL, True, rng)) >= 0:
+        state.apply(_move(m, code))
+    return state
 
 
 def initial_solution(inst: Instance, rng: np.random.Generator) -> SearchState:
@@ -178,29 +186,48 @@ def tabu_search(
     # The expiry is int64. No phase runs MAX_TOTAL iterations, so clamping
     # there changes no move.
     tenure = min(tenure, MAX_TOTAL)
-    expiry = state.expiry
+    m, core, selection, expiry = state.instance.m, state.core, state.selection, state.expiry
     expiry[:] = 0
-    best_selection, best_objective = state.selection.copy(), state.objective
+    best_selection, best_objective = selection.copy(), core.objective
+    # The pick of _pick with its arguments read once per phase and the two
+    # kinds of move written out: each took ~4% off the time per move in an
+    # interleaved A/B. best_objective is an objective, so it needs no
+    # clamp. A pick that finds ties but makes no move found too many for
+    # the buffer or the draw; _pick then grows the buffer or refuses.
+    pick, bits = _native.lib.bmcp_pick, rng.bit_generator
+    lock, native = bits.lock, bits.ctypes
+    rng_state, next_uint32 = native.state_address, native.next_uint32
     non_improving = 0
     iteration = 1
     while non_improving < depth:
         if deadline is not None and time.perf_counter() >= deadline:
             break
-        move = select_move(state, iteration, best_objective, rng)
-        if move is None:
+        with lock:
+            code = pick(core, iteration, best_objective, False, rng_state, next_uint32)
+        if code < 0 and core.count:
+            code = _pick(state, iteration, best_objective, False, rng)
+        if code < 0:
             break
-        state.apply(move)
-        if observer is not None:
-            observer(state)
-        for item in (move.item,) if isinstance(move, Flip) else (move.out_item, move.in_item):
-            if state.selection[item]:
-                prob.reward(item)
+        if code < m:
+            state.apply(Flip(code))
+            if observer is not None:
+                observer(state)
+            if selection[code]:
+                prob.reward(code)
             else:
-                prob.punish(item)
-            expiry[item] = iteration + tenure
-        if state.objective > best_objective:
-            best_selection[:] = state.selection
-            best_objective = state.objective
+                prob.punish(code)
+            expiry[code] = iteration + tenure
+        else:
+            out_item, in_item = divmod(code - m, m)
+            state.apply(Swap(out_item, in_item))
+            if observer is not None:
+                observer(state)
+            prob.punish(out_item)
+            prob.reward(in_item)
+            expiry[out_item] = expiry[in_item] = iteration + tenure
+        if core.objective > best_objective:
+            best_selection[:] = selection
+            best_objective = core.objective
             non_improving = 0
         else:
             non_improving += 1

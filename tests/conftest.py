@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 
 import bmcp
+from bmcp import _native
+from bmcp.instance import MAX_TOTAL
 
 TINY_TEXT = """\
 BMCP 1
@@ -141,6 +143,98 @@ def move_code(m, move):
     if isinstance(move, bmcp.Swap):
         return m + m * move.out_item + move.in_item
     return move.item
+
+
+def compiled_candidates(state, iteration, threshold, swaps_only):
+    """Every admissible move at the best delta, in scan order, and that delta.
+
+    One pass of ``bmcp_scan`` at the state's headroom; ``_scan.c``
+    documents the scan order and the move codes. Admissible: feasible and
+    either free at ``iteration`` (``state.expiry`` below it) or past the
+    aspiration bar, ``delta > threshold``. ``swaps_only`` leaves the flips
+    out. When the ties overflow the state's buffer, it grows and the scan
+    runs again.
+    """
+    inst = state.instance
+    # ctypes wraps ints to int64 silently. No weight difference or delta
+    # reaches MAX_TOTAL, so clamping there changes no comparison.
+    headroom = min(inst.capacity - state.total_weight, MAX_TOTAL)
+    threshold = max(-MAX_TOTAL, min(threshold, MAX_TOTAL))
+    core = state.core
+    while True:
+        count = _native.lib.bmcp_scan(core, iteration, headroom, threshold, swaps_only)
+        if count <= core.capacity:
+            return core.arrays["ties"][:count].copy(), core.best
+        state._reserve(max(count, 2 * core.capacity))
+
+
+def move_of(m, code):
+    """The move a scan code stands for on ``m`` items; see :func:`move_code`."""
+    return bmcp.Flip(code) if code < m else bmcp.Swap(*divmod(code - m, m))
+
+
+def bit_state(rng):
+    """The state of ``rng``'s bit generator, comparable with ``==`` (an
+    MT19937 key array becomes a list)."""
+
+    def plain(value):
+        if isinstance(value, dict):
+            return {key: plain(item) for key, item in value.items()}
+        return value.tolist() if isinstance(value, np.ndarray) else value
+
+    return plain(rng.bit_generator.state)
+
+
+def picked(state, iteration, best_so_far, swaps_only, rng):
+    """The code of the move ``bmcp_pick`` makes, or None, from
+    :func:`compiled_candidates` and ``rng.integers`` over the ties; with
+    ``swaps_only`` (the descent's pick) only a swap that improves."""
+    threshold = best_so_far - state.objective
+    ties, best = compiled_candidates(state, iteration, threshold, swaps_only)
+    if not ties.size or (swaps_only and best <= 0):
+        return None
+    return int(ties[rng.integers(ties.size)])
+
+
+def reference_descent(state, rng):
+    """:func:`bmcp.descent_local_search` with :func:`picked` for each step."""
+    while (code := picked(state, 0, -MAX_TOTAL, True, rng)) is not None:
+        state.apply(move_of(state.instance.m, code))
+    return state
+
+
+def reference_phase(state, prob, depth, tenure, rng, observer=None):
+    """:func:`bmcp.tabu_search` with :func:`picked` for each move and no
+    deadline; returns how many picks drew a tie-break."""
+    m = state.instance.m
+    state.expiry[:] = 0
+    best_selection, best_objective = state.selection.copy(), state.objective
+    non_improving, iteration, draws = 0, 1, 0
+    while non_improving < depth:
+        before = bit_state(rng)
+        code = picked(state, iteration, best_objective, False, rng)
+        if code is None:
+            break
+        draws += bit_state(rng) != before
+        move = move_of(m, code)
+        state.apply(move)
+        if observer is not None:
+            observer(state)
+        for item in (move.item,) if code < m else (move.out_item, move.in_item):
+            if state.selection[item]:
+                prob.reward(item)
+            else:
+                prob.punish(item)
+            state.expiry[item] = iteration + min(tenure, MAX_TOTAL)
+        if state.objective > best_objective:
+            best_selection[:] = state.selection
+            best_objective = state.objective
+            non_improving = 0
+        else:
+            non_improving += 1
+        iteration += 1
+    state._walk_to(best_selection)
+    return draws
 
 
 def reference_candidates(state, iteration, thresholds):

@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 import bmcp
 from bmcp import ConfigError, Flip, FormatError, InstanceWarning, SearchState
 from bmcp.instance import MAX_TOTAL
-from bmcp.tabu import _compiled_candidates
-from conftest import TINY_TEXT, csr, make_instance, row_of
+from conftest import TINY_TEXT, compiled_candidates, csr, make_instance, row_of
 
 
 def test_parse_tiny_fields(tiny):
@@ -223,7 +222,7 @@ def test_states_on_copies_point_at_the_copies_arrays():
         assert core == [a.ctypes.data for a in arrays]
         assert ours.isdisjoint(core)
         scans = [
-            _compiled_candidates(s, 1, 0, False)[0].tolist()
+            compiled_candidates(s, 1, 0, False)[0].tolist()
             for s in (original, state)
         ]
         assert scans[0] == scans[1] and scans[0]

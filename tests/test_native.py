@@ -1,12 +1,16 @@
 import ctypes
 import os
+import re
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bmcp import BuildError, _native
+from conftest import bit_state
 
 
 @pytest.fixture
@@ -89,6 +93,70 @@ def test_structs_match_the_kernel_layout(tmp_path):
     assert got == want
 
 
+def _kernel_functions():
+    """(return type, name, parameter count) of each non-static function
+    defined in ``_scan.c``."""
+    found = []
+    for ret, name, params in re.findall(
+        r"^(?!static\b)(\w+)\s+(\w+)\((.*?)\)\n\{", _native.SOURCE.read_text(), re.M | re.S
+    ):
+        depth, count = 0, 1
+        for char in params:  # commas outside a function pointer's own list
+            depth += (char == "(") - (char == ")")
+            count += char == "," and depth == 0
+        found.append((ret, name, count))
+    return found
+
+
+def test_every_kernel_function_has_its_ctypes_signature():
+    # ctypes' default restype is a 32-bit int, which silently truncates an
+    # int64 result such as a swap code past 2^31 (m >= 46 341).
+    found = _kernel_functions()
+    assert {name for _, name, _ in found} >= {"bmcp_scan", "bmcp_pick", "bmcp_move", "bmcp_walk"}
+    lib = _native._open(Path(_native.lib._name))  # fresh function objects
+    restypes = {"int64_t": ctypes.c_int64, "void": None}
+    for ret, name, count in found:
+        fn = getattr(lib, name)
+        assert fn.restype is restypes[ret], name
+        assert fn.argtypes is not None and len(fn.argtypes) == count, name
+
+
+@pytest.fixture(scope="module")
+def kernel_draw(tmp_path_factory):
+    """The kernel's static tie-break draw, built into a library of its own."""
+    where = tmp_path_factory.mktemp("draw")
+    source = where / "draw.c"
+    source.write_text(
+        f'#include "{_native.SOURCE}"\n'
+        "uint32_t draw_of(void *rng, uint32_t (*next_uint32)(void *), uint64_t bound)\n"
+        "{\n    return draw(rng, next_uint32, bound);\n}\n"
+    )
+    library = where / "draw.so"
+    subprocess.run(
+        [*_native._compiler(), *_native.FLAGS, "-o", str(library), str(source)],
+        check=True, capture_output=True,
+    )
+    fn = ctypes.CDLL(str(library)).draw_of
+    fn.argtypes = [ctypes.c_void_p, _native.NEXT_UINT32, ctypes.c_uint64]
+    fn.restype = ctypes.c_uint32
+    return fn
+
+
+@pytest.mark.parametrize("name", ["PCG64", "PCG64DXSM", "MT19937", "Philox", "SFC64"])
+def test_kernel_draw_is_generator_integers(name, kernel_draw):
+    # Bounds past 2^31 reject about a third to a half of their words, so the
+    # rejection loop runs; 2^32 takes the raw word. A change to numpy's
+    # bounded draw fails here.
+    bounds = [2, 3, 7, 10, 100, 585, 65_537, 2**31 - 1, 2**31, 2**31 + 5, 3 * 10**9,
+              2**32 - 1, 2**32]
+    for seed in range(20):
+        rng, ref = (np.random.Generator(getattr(np.random, name)(seed)) for _ in range(2))
+        words = rng.bit_generator.ctypes
+        got = [kernel_draw(words.state_address, words.next_uint32, b) for b in bounds * 3]
+        assert got == [int(ref.integers(b)) for b in bounds * 3]
+        assert bit_state(rng) == bit_state(ref)
+
+
 # Runs in a fresh interpreter with the sanitized library as the compiled core.
 UNDER_SANITIZER = """
     import sys
@@ -122,6 +190,12 @@ UNDER_SANITIZER = """
     test_state.test_refill_flips_only_the_differing_items()
     test_state.test_refill_between_feasible_selections_matches_rebuild()
     test_tabu.test_tabu_search_ends_at_its_best()
+    # Picks that draw through the bit generator's next_uint32, a buffer
+    # grown by a pick, and checked moves among random marks, iterations and
+    # far bests.
+    test_tabu.test_compiled_picks_draw_as_generator_integers("MT19937")
+    test_tabu.test_overflowing_ties_are_picked_after_the_buffer_grows()
+    test_state.test_random_moves_and_picks_match_the_reference()
     test_solver.test_rounds_mode_replays_pinned_moves(*test_solver.REPLAY_PINS[0])
     # One state refilled every round: a write past its arrays or its tie
     # buffer, or a struct left on a dead copy's arrays, shows.

@@ -5,8 +5,11 @@ from hypothesis import strategies as st
 
 import bmcp
 from bmcp import Flip, InfeasibleError, SearchState, Swap
-from bmcp.tabu import _compiled_candidates, select_move
-from conftest import csr, flip_delta, make_instance, move_delta, rebuild, swap_delta
+from bmcp.tabu import _pick, select_move
+from conftest import (
+    compiled_candidates, csr, flip_delta, make_instance, move_delta, rebuild,
+    reference_candidates, reference_moves, swap_delta,
+)
 
 
 def state_of(inst, items):
@@ -173,8 +176,8 @@ def test_refill_after_a_phase_equals_a_fresh_state():
         state.expiry[:] = fresh.expiry[:] = marks
         for threshold in (-50, -1, 0, 1, 50):
             for swaps_only in (False, True):
-                got = _compiled_candidates(state, 2, threshold, swaps_only)
-                want = _compiled_candidates(fresh, 2, threshold, swaps_only)
+                got = compiled_candidates(state, 2, threshold, swaps_only)
+                want = compiled_candidates(fresh, 2, threshold, swaps_only)
                 assert (got[0].tolist(), got[1]) == (want[0].tolist(), want[1])
 
 
@@ -225,25 +228,28 @@ def test_constructor_builds_the_empty_state():
     assert built.value.tolist() == rebuilt_values(built)
     for threshold in (-50, -1, 0, 1, 50):
         for swaps_only in (False, True):
-            got = _compiled_candidates(built, 1, threshold, swaps_only)
-            want = _compiled_candidates(refilled, 1, threshold, swaps_only)
+            got = compiled_candidates(built, 1, threshold, swaps_only)
+            want = compiled_candidates(refilled, 1, threshold, swaps_only)
             assert (got[0].tolist(), got[1]) == (want[0].tolist(), want[1])
     picks = [select_move(s, 1, 0, np.random.default_rng(0)) for s in (built, refilled)]
     assert picks == [Flip(11), Flip(11)]
 
 
-class Recording(SearchState):
-    """A state that records each flip: the item and whether it left."""
+class RecordedWalks:
+    """The compiled core, recording each ``bmcp_walk``'s selection before
+    and after it."""
 
-    __slots__ = ("flips",)
+    def __init__(self, lib):
+        self.lib, self.walks = lib, []
 
-    def __init__(self, instance):
-        self.flips = []
-        super().__init__(instance)
+    def __getattr__(self, name):
+        return getattr(self.lib, name)
 
-    def _flip(self, item):
-        self.flips.append((item, bool(self.selection[item])))
-        super()._flip(item)
+    def bmcp_walk(self, core, target):
+        selection = core.arrays["selection"]
+        before = selection.copy()
+        self.lib.bmcp_walk(core, target)
+        self.walks.append(np.flatnonzero(before != selection).tolist())
 
 
 def test_refill_flips_only_the_differing_items():
@@ -252,14 +258,13 @@ def test_refill_flips_only_the_differing_items():
     for _ in range(20):
         a = bmcp.random_fill(inst, rng)
         b = bmcp.random_fill(inst, rng, a & (rng.random(inst.m) < 0.5))
-        state = Recording.from_selection(inst, a)
+        state = SearchState.from_selection(inst, a)
         state.expiry[:] = 7
-        state.flips.clear()
-        state.refill(b)
-        leaving = np.flatnonzero(a & ~b).tolist()
-        entering = np.flatnonzero(b & ~a).tolist()
-        assert state.flips == [(i, True) for i in leaving] + [(i, False) for i in entering]
-        assert len(state.flips) == np.count_nonzero(a != b)
+        with pytest.MonkeyPatch.context() as patch:
+            recorded = RecordedWalks(bmcp._native.lib)
+            patch.setattr(bmcp._native, "lib", recorded)
+            state.refill(b)
+        assert recorded.walks == [np.flatnonzero(a != b).tolist()]
         assert fields(state) == fields(SearchState.from_selection(inst, b))
 
 
@@ -302,3 +307,36 @@ def test_refill_between_feasible_selections_matches_rebuild(case):
     assert (state.total_weight, state.objective) == (weight, objective)
     assert state.value.tolist() == rebuilt_values(state)
     assert not state.expiry.any()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(two_feasible_selections(), st.data())
+def test_random_moves_and_picks_match_the_reference(case, data):
+    # Random feasible moves through apply, each state under random tabu
+    # marks, iteration and best so far (far ones included, which the pick
+    # must clamp): the state equals a rebuild, and the compiled pick equals
+    # the scalar reference's ties broken by rng.integers, in both modes.
+    inst, start, _ = case
+    state = SearchState.from_selection(inst, start)
+    for _ in range(data.draw(st.integers(0, 6))):
+        state.expiry[:] = data.draw(st.lists(st.integers(0, 4), min_size=inst.m, max_size=inst.m))
+        iteration = data.draw(st.integers(1, 4))
+        slack = data.draw(st.one_of(st.integers(-4, 4), st.sampled_from([-(2**64), 2**64])))
+        best_so_far = state.objective + slack
+        answers = reference_candidates(state, iteration, [slack])
+        seed = data.draw(st.integers(0, 2**32))
+        for swaps_only in (False, True):
+            ties, best = answers[slack, swaps_only]
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            no_move = not ties or (swaps_only and best <= 0)
+            want = -1 if no_move else ties[ref.integers(len(ties))]
+            assert _pick(state, iteration, best_so_far, swaps_only, rng) == want
+            assert rng.bit_generator.state == ref.bit_generator.state
+        feasible = [mv for mv in reference_moves(state) if move_delta(state, mv).feasible]
+        if not feasible:
+            break
+        state.apply(data.draw(st.sampled_from(feasible)))
+        counts, weight, objective = rebuild(inst, state.selection)
+        assert state.coverage.tolist() == counts.tolist()
+        assert (state.total_weight, state.objective) == (weight, objective)
+        assert state.value.tolist() == rebuilt_values(state)

@@ -1,18 +1,24 @@
+import threading
+
 import numpy as np
 import pytest
 
 import bmcp
 from bmcp import ConfigError, Flip, SearchState, Swap
 from bmcp.instance import MAX_TOTAL
-from bmcp.tabu import _compiled_candidates
+from bmcp.tabu import _pick
 from conftest import (
     TINY_TEXT,
+    bit_state,
+    compiled_candidates,
     csr,
     make_instance,
-    move_code,
     move_delta,
+    move_of,
+    picked,
     reference_candidates,
-    reference_moves,
+    reference_descent,
+    reference_phase,
     swap_delta,
     tabu_items,
 )
@@ -72,7 +78,7 @@ def test_tabu_window(tiny):
     # 4 (no threshold admits it) and is admissible again from 5.
     state = marked(state_of(tiny, [0]), [0, 1 + 3, 0])
     for iteration in (2, 3, 4, 5):
-        ties, _ = _compiled_candidates(state, iteration, MAX_TOTAL, False)
+        ties, _ = compiled_candidates(state, iteration, MAX_TOTAL, False)
         assert ties.tolist() == ([1, 2] if iteration == 5 else [2])
         assert tabu_items(state, iteration).tolist() == [False, iteration < 5, False]
 
@@ -359,10 +365,6 @@ def _edge_cases():
     }
 
 
-def _moves_by_code(state):
-    return {move_code(state.instance.m, move): move for move in reference_moves(state)}
-
-
 def _reference_descent(state, rng):
     """:func:`bmcp.descent_local_search` on the scalar reference, with
     nothing tabu."""
@@ -371,7 +373,7 @@ def _reference_descent(state, rng):
         ties, best = reference_candidates(state, 1, [0])[0, True]
         if best is None or best <= 0:
             return state
-        state.apply(_moves_by_code(state)[ties[rng.integers(len(ties))]])
+        state.apply(move_of(state.instance.m, ties[rng.integers(len(ties))]))
 
 
 @pytest.mark.parametrize(
@@ -389,12 +391,11 @@ def test_scan_matches_scalar_reference(cases):
         thresholds = [best - state.objective for best in bests]
         want = reference_candidates(state, iteration, thresholds)
         for (threshold, swaps_only), (ties, best) in want.items():
-            got, got_best = _compiled_candidates(state, iteration, threshold, swaps_only)
+            got, got_best = compiled_candidates(state, iteration, threshold, swaps_only)
             assert got.tolist() == ties
             assert not state.core.arrays["corr"].any()  # the scratch is left zero
             if ties:
                 assert got_best == best
-        moves = _moves_by_code(state)
         for best_so_far, threshold in zip(bests, thresholds):
             rng = np.random.default_rng(iteration)
             ref_rng = np.random.default_rng(iteration)
@@ -402,7 +403,7 @@ def test_scan_matches_scalar_reference(cases):
             ties, _ = want[threshold, False]
             if len(ties) > 1:
                 ties = [ties[ref_rng.integers(len(ties))]]
-            assert move == (moves[ties[0]] if ties else None)
+            assert move == (move_of(state.instance.m, ties[0]) if ties else None)
         # The descent continues from the last pick's draws.
         descended = bmcp.descent_local_search(state.copy(), rng)
         ref_descended = _reference_descent(state.copy(), ref_rng)
@@ -413,7 +414,7 @@ def test_scan_matches_scalar_reference(cases):
 def test_edge_cases_have_the_named_tie_sets():
     for name, (state, iteration, best_so_far, ties) in _edge_cases().items():
         threshold = best_so_far - state.objective
-        got, _ = _compiled_candidates(state, iteration, threshold, False)
+        got, _ = compiled_candidates(state, iteration, threshold, False)
         want, _ = reference_candidates(state, iteration, [threshold])[threshold, False]
         assert got.tolist() == want == ties, name
 
@@ -427,9 +428,156 @@ def test_ties_beyond_the_buffer_are_all_returned():
         want = reference_candidates(state, 1, [0])[0, swaps_only]
         assert len(want[0]) == 36
         for _ in range(2):  # grown, then reused
-            got, best = _compiled_candidates(state, 1, 0, swaps_only)
+            got, best = compiled_candidates(state, 1, 0, swaps_only)
             assert (got.tolist(), best) == want
         assert state.core.capacity >= 36
+
+
+BIT_GENERATORS = ["PCG64", "PCG64DXSM", "MT19937", "Philox", "SFC64"]
+
+
+def _twin_rngs(name, seed):
+    """Two generators on equal, fresh ``name`` bit generators."""
+    return [np.random.Generator(getattr(np.random, name)(seed)) for _ in range(2)]
+
+
+def _tied_instance():
+    """Unit profits and weights 1..3: most picks tie."""
+    base = make_instance(30, 40, 0.1, 0.4, seed=3)
+    return bmcp.Instance(
+        weights=base.weights % 3 + 1, profits=np.ones(base.n, dtype=np.int64),
+        capacity=12, indptr=base.indptr, indices=base.indices,
+    )
+
+
+@pytest.mark.parametrize("name", BIT_GENERATORS)
+def test_compiled_picks_draw_as_generator_integers(name):
+    # select_move, the descent and a phase against picked(), whose
+    # tie-break is rng.integers: equal moves and equal generator states.
+    inst = _tied_instance()
+    draws = 0
+    for seed in range(4):
+        rng, ref = _twin_rngs(name, seed)
+        start = bmcp.random_fill(inst, rng)
+        bmcp.random_fill(inst, ref)
+        state, twin = (SearchState.from_selection(inst, start) for _ in range(2))
+        marks = (np.arange(inst.m) % 4) * 2
+        for iteration, slack in [(1, 0), (3, -1), (5, 2), (2, 2**64)]:
+            state.expiry[:] = twin.expiry[:] = marks
+            best = state.objective + slack
+            code = picked(twin, iteration, best, False, ref)
+            want = None if code is None else move_of(inst.m, code)
+            assert bmcp.select_move(state, iteration, best, rng) == want
+            assert bit_state(rng) == bit_state(ref)
+        bmcp.descent_local_search(state, rng)
+        reference_descent(twin, ref)
+        assert state.selection.tolist() == twin.selection.tolist()
+        assert bit_state(rng) == bit_state(ref)
+        probs = [bmcp.ProbabilityVector.initial(inst.m) for _ in range(2)]
+        seen = [], []
+        bmcp.tabu_search(state, probs[0], 30, 3, rng, observer=lambda s: seen[0].append(
+            s.selection.tolist()))
+        draws += reference_phase(twin, probs[1], 30, 3, ref, observer=lambda s: seen[1].append(
+            s.selection.tolist()))
+        assert seen[0] == seen[1] and len(seen[0]) >= 30
+        assert state.selection.tolist() == twin.selection.tolist()
+        assert state.expiry.tolist() == twin.expiry.tolist()
+        assert probs[0].probs.tolist() == probs[1].probs.tolist()
+        assert bit_state(rng) == bit_state(ref)
+    assert draws >= 20  # the phases broke real ties
+
+
+def test_an_observer_may_draw_from_the_run_rng():
+    # The generator's lock is held for each pick only, so an observer that
+    # draws from the same generator neither blocks nor desyncs the picks.
+    inst = _tied_instance()
+    ended = []
+
+    def run(rng, phase):
+        state = SearchState.from_selection(inst, bmcp.random_fill(inst, rng))
+        prob = bmcp.ProbabilityVector.initial(inst.m)
+        seen = []
+
+        def observe(s):
+            seen.append((s.selection.tolist(), rng.random()))
+
+        phase(state, prob, 30, 3, rng, observer=observe)
+        ended.append((seen, state.selection.tolist(), bit_state(rng)))
+
+    for phase in (bmcp.tabu_search, reference_phase):
+        worker = threading.Thread(target=run, args=(np.random.default_rng(6), phase), daemon=True)
+        worker.start()
+        worker.join(60)
+        assert not worker.is_alive()
+    assert len(ended) == 2 and ended[0] == ended[1]
+    assert len(ended[0][0]) >= 30
+
+
+def test_a_pick_waits_for_the_generator_lock():
+    inst = _tied_instance()
+    rng, ref = np.random.default_rng(2), np.random.default_rng(2)
+    state = SearchState.from_selection(inst, bmcp.random_fill(inst, np.random.default_rng(3)))
+    want = move_of(inst.m, picked(state.copy(), 1, state.objective, False, ref))
+    done = []
+    worker = threading.Thread(
+        target=lambda: done.append(bmcp.select_move(state, 1, state.objective, rng)),
+        daemon=True,
+    )
+    with rng.bit_generator.lock:
+        worker.start()
+        worker.join(0.2)
+        assert worker.is_alive() and not done
+    worker.join(60)
+    assert done == [want]
+    assert bit_state(rng) == bit_state(ref)
+
+
+def test_overflowing_ties_are_picked_after_the_buffer_grows():
+    # 36 swaps tie at 0, more than the 12 moves the buffer starts with; the
+    # pick grows it, scans again and draws once.
+    inst = _one_element_each([1] * 12, [7] * 12, capacity=6)
+    state = state_of(inst, range(6))
+    rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+    ties, _ = reference_candidates(state, 1, [0])[0, False]
+    assert len(ties) == 36
+    assert _pick(state, 1, state.objective, False, rng) == ties[ref.integers(36)]
+    assert bit_state(rng) == bit_state(ref)
+    assert state.core.capacity >= 36
+
+
+def test_an_iteration_past_int64_is_past_every_mark():
+    # Item 1 is tabu through iteration 5. Passed as it is, 2^64 + 2 would
+    # wrap to 2 in ctypes, where item 1 is still tabu and the bar of best
+    # 12 keeps its flip-in (gain 2) out.
+    tiny = bmcp.parse_instance(TINY_TEXT)
+    seen = set()
+    for seed in range(12):
+        late, far = (
+            bmcp.select_move(marked(state_of(tiny, [0]), [0, 5, 0]), it, 12,
+                             np.random.default_rng(seed))
+            for it in (6, 2**64 + 2)
+        )
+        assert far == late
+        seen.add(late)
+    assert seen == {Flip(1), Flip(2)}
+
+
+def test_a_tie_set_past_2_32_is_refused(monkeypatch):
+    # numpy draws from such a set with its 64-bit draw, which the core does
+    # not make. The set needs m >= 65 536 and a 32 GiB tie buffer, so the
+    # core's count is set by a stand-in.
+    class VastTies:
+        def bmcp_pick(self, core, *args):
+            core.count = 2**32 + 1
+            return -1
+
+    state = state_of(bmcp.parse_instance(TINY_TEXT), [0])
+    monkeypatch.setattr(bmcp._native, "lib", VastTies())
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match="exceed the 2\\^32"):
+        bmcp.select_move(state, 1, 0, rng)
+    with pytest.raises(ValueError, match="exceed the 2\\^32"):
+        bmcp.tabu_search(state, bmcp.ProbabilityVector.initial(3), 5, 1, rng)
 
 
 def test_tabu_search_respects_deadline():
