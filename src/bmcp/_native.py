@@ -5,13 +5,13 @@
 tie-break from the run's bit generator, through the generator's ctypes
 ``state_address`` and ``next_uint32``, exactly as ``Generator.integers``
 would; ``lib.bmcp_move`` checks and applies the picked flip or swap.
-``lib.bmcp_walk`` flips a state to another selection, and
-``lib.bmcp_scan`` is the scan alone. Every flip keeps the state's weight
-and objective in the struct. All take a
-:class:`State` (``bmcp_state``, one per search state, with the state's tabu
-expiry, its weight, objective and clamped capacity, a scratch ``corr`` that
-the scan leaves all zero, and the scan's tie buffer). This mirror is the
-one place in Python that lays out the core's memory.
+``lib.bmcp_walk`` flips a state to another selection; the three are the
+library's whole surface, so the scan is reached only through the pick.
+Every flip keeps the state's weight and objective in the struct. All take
+a :class:`State` (``bmcp_state``, one per search state, with its tabu
+expiry, weight, objective and clamped capacity, a scratch ``corr`` the
+scan leaves all zero, and the scan's tie buffer): the one place in Python
+that lays out the core's memory, whose ``arrays`` own what it points at.
 
 The first read of ``lib`` builds ``_scan.c`` with the interpreter's C
 compiler (``sysconfig``'s ``CC``) into the package's ``__pycache__``, named
@@ -92,15 +92,12 @@ def _compile(cc: list[str], target: Path) -> None:
 def _open(path: Path):
     lib = ctypes.CDLL(str(path))
     i64, state = ctypes.c_int64, ctypes.POINTER(State)
-    # Then iteration, headroom, threshold and swaps_only.
-    lib.bmcp_scan.argtypes = [state, i64, i64, i64, i64]
     # Then iteration, best_so_far, swaps_only, and the bit generator's
     # state address and next_uint32.
     lib.bmcp_pick.argtypes = [state, i64, i64, i64, ctypes.c_void_p, NEXT_UINT32]
     lib.bmcp_move.argtypes = [state, i64, i64]
     lib.bmcp_walk.argtypes = [state, ctypes.c_void_p]
-    for fn in (lib.bmcp_scan, lib.bmcp_pick, lib.bmcp_move):
-        fn.restype = i64
+    lib.bmcp_pick.restype = lib.bmcp_move.restype = i64
     lib.bmcp_walk.restype = None
     return lib
 

@@ -163,12 +163,14 @@ def _cmd_compare(args) -> int:
     rows = []
     pairs = []
     for inst in instances:
-        per_policy = {}
+        per_policy, totals = {}, {}
         for policy in ("probability", "random"):
             cfg = _config_from(args, perturbation=policy)
             results = batch(inst, cfg, runs=args.runs, workers=args.workers)
             per_policy[policy] = summarize(results)
-        pairs.append((per_policy["probability"].f_avg, per_policy["random"].f_avg))
+            totals[policy] = sum(r.best_objective for r in results)
+        # Same runs per policy: exact totals rank as f_avg does, ties unsplit.
+        pairs.append((totals["probability"], totals["random"]))
         rows.append((inst.name, per_policy))
     p_value = wilcoxon_signed_rank(pairs)
     lines = [CSV_HEADER + ",p_value"]

@@ -16,7 +16,7 @@ row profit sums, and reaches any other selection in one call of
 ``bmcp_walk``: by flipping out the items it leaves, then flipping in the
 items it gains.
 
-A state searched by the compiled core also owns what its scans read and
+A state searched by the compiled core also owns what its picks read and
 write besides: the per-item tabu ``expiry`` and the scan's tie buffer.
 """
 
@@ -53,26 +53,24 @@ class SearchState:
     """Mutable selection plus derived quantities, one owner at a time.
 
     ``selection``, ``coverage`` and ``value`` are the state's own arrays,
-    fixed for its life: the compiled core writes to them, and to the
-    weight and objective, through the state's ``core`` struct. Every
-    change to them is a flip.
+    fixed for its life and owned, like every array of the state, by
+    ``core.arrays``: the compiled core writes to them, and to the weight
+    and objective, through the ``core`` struct. Every change is a flip.
     """
 
-    __slots__ = ("instance", "_selection", "_coverage", "_value", "core")
+    __slots__ = ("instance", "core")
 
     def __init__(self, instance: Instance):
         """The empty selection of ``instance``, with its move values."""
         inst = self.instance = instance
-        self._selection = np.zeros(inst.m, dtype=bool)
-        self._coverage = np.zeros(inst.n, dtype=np.int64)
-        # Each row sums distinct elements' profits, so none reaches MAX_TOTAL.
-        self._value = inst.incidence @ inst.profits
         colptr, colitems = inst.csc
         self.core = _native.State(
             m=inst.m, indptr=inst.indptr, indices=inst.indices, colptr=colptr,
             colitems=colitems, profits=inst.profits, weights=inst.weights,
-            order=inst.order, selection=self._selection, coverage=self._coverage,
-            value=self._value, corr=np.zeros(inst.m, dtype=np.int64),
+            order=inst.order, selection=np.zeros(inst.m, dtype=bool),
+            coverage=np.zeros(inst.n, dtype=np.int64),
+            # Each row sums distinct elements' profits, so none reaches MAX_TOTAL.
+            value=inst.incidence @ inst.profits, corr=np.zeros(inst.m, dtype=np.int64),
             expiry=np.zeros(inst.m, dtype=np.int64),
             ties=np.empty(inst.m, dtype=np.int64), capacity=inst.m,
             # ctypes wraps ints to int64 silently. No feasible weight
@@ -89,18 +87,18 @@ class SearchState:
     @property
     def selection(self) -> np.ndarray:
         """Which items are selected, bool (m,)."""
-        return self._selection
+        return self.core.arrays["selection"]
 
     @property
     def coverage(self) -> np.ndarray:
         """How many selected items cover each element, int64 (n,)."""
-        return self._coverage
+        return self.core.arrays["coverage"]
 
     @property
     def value(self) -> np.ndarray:
         """Gain of flipping each unselected item in, loss of flipping each
         selected one out, int64 (m,)."""
-        return self._value
+        return self.core.arrays["value"]
 
     @property
     def total_weight(self) -> int:
@@ -144,7 +142,7 @@ class SearchState:
 
     def copy(self) -> "SearchState":
         """A new state of this one's selection, with nothing tabu."""
-        return SearchState.from_selection(self.instance, self._selection)
+        return SearchState.from_selection(self.instance, self.selection)
 
     def apply(self, move: Move) -> None:
         """Apply in place; raises :class:`InfeasibleError` on a misfit, and

@@ -27,7 +27,8 @@ def wilcoxon_signed_rank(pairs: Sequence[tuple[float, float]]) -> float:
     """
     if len(pairs) == 0:
         raise ValueError("empty paired sample")
-    diffs = np.array([float(a) - float(b) for a, b in pairs])
+    # The difference before the float: equal integer differences stay tied.
+    diffs = np.array([float(a - b) for a, b in pairs])
     diffs = diffs[diffs != 0.0]
     k = diffs.size
     if k == 0:

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 import bmcp
-from bmcp import _native
 from bmcp.instance import MAX_TOTAL
+from bmcp.tabu import _pick
 
 TINY_TEXT = """\
 BMCP 1
@@ -148,24 +148,18 @@ def move_code(m, move):
 def compiled_candidates(state, iteration, threshold, swaps_only):
     """Every admissible move at the best delta, in scan order, and that delta.
 
-    One pass of ``bmcp_scan`` at the state's headroom; ``_scan.c``
-    documents the scan order and the move codes. Admissible: feasible and
+    The tie set and best delta that one :func:`bmcp.tabu._pick` at
+    ``best_so_far = state.objective + threshold`` leaves in the state's
+    struct, scanned at the struct's headroom ``budget - weight``;
+    ``_scan.c`` documents the scan order and the move codes. The pick's
+    tie-break comes from a throwaway generator. Admissible: feasible and
     either free at ``iteration`` (``state.expiry`` below it) or past the
     aspiration bar, ``delta > threshold``. ``swaps_only`` leaves the flips
-    out. When the ties overflow the state's buffer, it grows and the scan
-    runs again.
+    out.
     """
-    inst = state.instance
-    # ctypes wraps ints to int64 silently. No weight difference or delta
-    # reaches MAX_TOTAL, so clamping there changes no comparison.
-    headroom = min(inst.capacity - state.total_weight, MAX_TOTAL)
-    threshold = max(-MAX_TOTAL, min(threshold, MAX_TOTAL))
+    _pick(state, iteration, state.objective + threshold, swaps_only, np.random.default_rng(0))
     core = state.core
-    while True:
-        count = _native.lib.bmcp_scan(core, iteration, headroom, threshold, swaps_only)
-        if count <= core.capacity:
-            return core.arrays["ties"][:count].copy(), core.best
-        state._reserve(max(count, 2 * core.capacity))
+    return core.arrays["ties"][: core.count].copy(), core.best
 
 
 def move_of(m, code):

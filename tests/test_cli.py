@@ -140,6 +140,30 @@ def test_compare_emits_paired_rows(tiny_file, tmp_path, capsys, monkeypatch):
     assert "signed-rank p" in captured.err
 
 
+def test_compare_keeps_tied_differences_tied(tiny_file, capsys, monkeypatch):
+    # Per-instance (probability, random) totals over 10 runs: five
+    # differences of 21 in size tie exactly, and the exact p-value is 1.
+    # Averaged in floats, the differences split in the last bit and rank
+    # apart, which read 0.7188.
+    totals = iter([
+        58273, 58252, 40126, 40105, 50016, 49995,
+        56403, 56424, 42607, 42628, 55935, 55941,
+    ])
+
+    def batch(inst, cfg, runs, workers):
+        q, r = divmod(next(totals), runs)
+        return [
+            bmcp.RunResult(np.zeros(inst.m, dtype=bool), q + (i < r), 0, 0.0, 1, cfg.seed)
+            for i in range(runs)
+        ]
+
+    monkeypatch.setattr(bmcp.cli, "batch", batch)
+    assert main(["compare", *[str(tiny_file)] * 6, "--runs", "10"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 13
+    assert all(line.endswith(",1") for line in lines[1:])
+
+
 def test_missing_file_is_io_error(tmp_path, capsys):
     code = main(["solve", "--instance", str(tmp_path / "nope.bmcp")])
     assert code == 1

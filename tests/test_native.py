@@ -112,8 +112,15 @@ def test_every_kernel_function_has_its_ctypes_signature():
     # ctypes' default restype is a 32-bit int, which silently truncates an
     # int64 result such as a swap code past 2^31 (m >= 46 341).
     found = _kernel_functions()
-    assert {name for _, name, _ in found} >= {"bmcp_scan", "bmcp_pick", "bmcp_move", "bmcp_walk"}
+    exported = {name for _, name, _ in found}
+    assert exported == {"bmcp_pick", "bmcp_move", "bmcp_walk"}
+    # The kernel exports only what the package calls, not what tests alone use.
+    callers = [p.read_text() for p in _native.SOURCE.parent.glob("*.py") if p.name != "_native.py"]
+    for name in exported:
+        assert any(f"lib.{name}" in text for text in callers), name
     lib = _native._open(Path(_native.lib._name))  # fresh function objects
+    declared = {k for k, v in vars(lib).items() if isinstance(v, ctypes._CFuncPtr)}
+    assert declared == exported
     restypes = {"int64_t": ctypes.c_int64, "void": None}
     for ret, name, count in found:
         fn = getattr(lib, name)
@@ -215,7 +222,7 @@ def _run_sanitized(tmp_path, sanitizer, env=()):
         pytest.skip(f"no {sanitizer} build: {build.stderr.strip()[:200]}")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p), **dict(env))
     return subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(UNDER_SANITIZER), str(library)],
+        [sys.executable, "-W", "error", "-c", textwrap.dedent(UNDER_SANITIZER), str(library)],
         capture_output=True, text=True, env=env, timeout=300,
     )
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import bmcp
 from bmcp import Flip, InfeasibleError, SearchState, Swap
+from bmcp.instance import MAX_TOTAL
 from bmcp.tabu import _pick, select_move
 from conftest import (
     compiled_candidates, csr, flip_delta, make_instance, move_delta, rebuild,
@@ -271,12 +272,16 @@ def test_refill_flips_only_the_differing_items():
 @st.composite
 def two_feasible_selections(draw):
     """A small instance, often degenerate (empty rows, uncovered elements,
-    tied weights, capacity 0), and two feasible selections of it."""
+    tied weights, capacity 0), and two feasible selections of it. Profits
+    are small or near MAX_TOTAL // n, so the profit total reaches close to
+    MAX_TOTAL and ties stay possible at both ends."""
     m = draw(st.integers(1, 12))
     n = draw(st.integers(1, 10))
     rows = draw(st.lists(st.lists(st.integers(0, n - 1), max_size=n), min_size=m, max_size=m))
     weights = draw(st.lists(st.integers(1, 3), min_size=m, max_size=m))
-    profits = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    top = MAX_TOTAL // n - 1
+    profit = st.one_of(st.integers(1, 4), st.integers(top - 3, top))
+    profits = draw(st.lists(profit, min_size=n, max_size=n))
     inst = bmcp.Instance(
         weights=np.array(weights), profits=np.array(profits),
         capacity=draw(st.integers(0, sum(weights))), **csr(rows),
