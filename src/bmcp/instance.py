@@ -34,7 +34,6 @@ from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConfigError, FormatError
 
@@ -124,10 +123,23 @@ class Instance:
         return self.profits.size
 
     @cached_property
-    def incidence(self) -> sp.csr_array:
-        """0/1 incidence matrix, items by elements, int64 CSR on ``indices``."""
+    def incidence(self):
+        """0/1 incidence matrix, items by elements, scipy int64 CSR on ``indices``."""
+        import scipy.sparse as sp
+
         data = np.ones(self.indices.size, dtype=np.int64)
         return sp.csr_array((data, self.indices, self.indptr), shape=(self.m, self.n))
+
+    @cached_property
+    def row_profits(self) -> np.ndarray:
+        """Summed profit of each item's elements, int64 (m,), read-only."""
+        # The running sum may wrap past 2^63, but a row sums distinct
+        # elements, so its true sum is below MAX_TOTAL and the wrapped
+        # difference of two running sums is exact.
+        running = np.cumsum(np.append(0, self.profits[self.indices]))
+        sums = np.diff(running[self.indptr])
+        sums.flags.writeable = False
+        return sums
 
     @cached_property
     def order(self) -> np.ndarray:

@@ -12,9 +12,9 @@ those whose coverage crosses 0<->1 or 1<->2, and keeps the weight and the
 objective in the state's struct; a swap is two flips.
 :meth:`SearchState.apply` checks and applies a move in one call of
 ``bmcp_move``. A state starts as the empty selection, whose values are the
-row profit sums, and reaches any other selection in one call of
-``bmcp_walk``: by flipping out the items it leaves, then flipping in the
-items it gains.
+row profit sums, a copy of the instance's cached ``row_profits``, and
+reaches any other selection in one call of ``bmcp_walk``: by flipping out
+the items it leaves, then flipping in the items it gains.
 
 A state searched by the compiled core also owns what its picks read and
 write besides: the per-item tabu ``expiry`` and the scan's tie buffer.
@@ -69,8 +69,7 @@ class SearchState:
             colitems=colitems, profits=inst.profits, weights=inst.weights,
             order=inst.order, selection=np.zeros(inst.m, dtype=bool),
             coverage=np.zeros(inst.n, dtype=np.int64),
-            # Each row sums distinct elements' profits, so none reaches MAX_TOTAL.
-            value=inst.incidence @ inst.profits, corr=np.zeros(inst.m, dtype=np.int64),
+            value=inst.row_profits.copy(), corr=np.zeros(inst.m, dtype=np.int64),
             expiry=np.zeros(inst.m, dtype=np.int64),
             ties=np.empty(inst.m, dtype=np.int64), capacity=inst.m,
             # ctypes wraps ints to int64 silently. No feasible weight

@@ -1,5 +1,9 @@
 import csv
 import io
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -324,3 +328,36 @@ def test_solving_without_compiler_is_one_line_build_error(
 @pytest.mark.parametrize("command", ["generate", "exact", "export-lp"])
 def test_other_commands_need_no_compiler(tiny_file, tmp_path, no_compiler, command):
     assert main(_cli_argv(command, tiny_file, tmp_path)) == 0
+
+
+WITHOUT_SCIPY = """
+    import sys
+
+    sys.modules["scipy"] = None  # every scipy import now raises ImportError
+    import bmcp
+    from bmcp.cli import main
+
+    path, out = sys.argv[1:]
+    inst = bmcp.load_instance(path)
+    result = bmcp.solve(inst, bmcp.SolverConfig(max_rounds=2, seed=0))
+    assert result.best_objective == bmcp.full_objective(inst, result.best_selection)
+    for argv in [
+        ["generate", "--m", "5", "--n", "4", "--density", "0.5", "--capacity", "9",
+         "--out-dir", out],
+        ["solve", "--instance", path, "--rounds", "1", "--solution", out + "/out.sol"],
+        ["exact", "--instance", path],
+        ["export-lp", "--instance", path],
+        ["compare", path, path, "--runs", "2", "--rounds", "1"],
+    ]:
+        assert main(argv) == 0, argv
+"""
+
+
+def test_package_runs_without_scipy(tiny_file, tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-c", textwrap.dedent(WITHOUT_SCIPY),
+         str(tiny_file), str(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

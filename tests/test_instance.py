@@ -203,6 +203,21 @@ def test_incidence_matches_rows(tiny):
     assert tiny.incidence.dtype == np.int64
 
 
+def test_row_profits_are_exact_past_the_int64_wrap():
+    # Each of the 4 rows sums to 2^62 - 3, so the running sum over all
+    # rows passes 2^63 and wraps.
+    profits = [2**61 - 1, 2**61 - 2]
+    inst = bmcp.Instance(
+        weights=[1, 1, 1, 1], profits=profits, capacity=4, **csr([[0, 1]] * 4)
+    )
+    assert inst.row_profits.tolist() == [sum(profits)] * 4
+    assert not inst.row_profits.flags.writeable
+    value = SearchState(inst).value
+    assert np.array_equal(value, inst.row_profits)
+    assert value.flags.writeable and not np.shares_memory(value, inst.row_profits)
+    assert pickle.loads(pickle.dumps(inst)).row_profits.tolist() == [sum(profits)] * 4
+
+
 def test_states_on_copies_point_at_the_copies_arrays():
     inst = make_instance(30, 40, 0.1, 0.3, seed=2)
     sel = bmcp.random_fill(inst, np.random.default_rng(2))

@@ -64,6 +64,22 @@ def test_large_sample_matches_scipy_approx():
         assert bmcp.wilcoxon_signed_rank(pairs) == pytest.approx(expected, rel=1e-9)
 
 
+def test_ranks_exact_integer_differences_past_2_53():
+    # Shifting every magnitude by 2^60 keeps the order of the differences
+    # and their ties, so the p-value stays; in floats they all tied.
+    shift = 2**60
+    rng = np.random.default_rng(5)
+    samples = [[1, 2, 3, 4, -5]] + [
+        [d for d in rng.integers(-5, 6, size=int(rng.integers(2, 12))).tolist() if d]
+        for _ in range(40)
+    ]
+    for diffs in filter(None, samples):
+        shifted = [d + shift if d > 0 else d - shift for d in diffs]
+        assert bmcp.wilcoxon_signed_rank([(d, 0) for d in shifted]) == (
+            bmcp.wilcoxon_signed_rank([(d, 0) for d in diffs])
+        ), diffs
+
+
 def test_two_sided_symmetry():
     rng = np.random.default_rng(3)
     a = rng.normal(size=12)
