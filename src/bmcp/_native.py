@@ -1,23 +1,27 @@
-"""Loader of the compiled search core in ``_scan.c``, and its struct.
+"""Loader of the compiled search core, and its struct.
 
-``lib`` is the loaded library. A tabu move is two of its calls:
-``lib.bmcp_pick`` scans the flip and swap neighbourhoods and draws the
-tie-break from the run's bit generator, through the generator's ctypes
-``state_address`` and ``next_uint32``, exactly as ``Generator.integers``
-would; ``lib.bmcp_move`` checks and applies the picked flip or swap.
-``lib.bmcp_walk`` flips a state to another selection; the three are the
-library's whole surface, so the scan is reached only through the pick.
-Every flip keeps the state's weight and objective in the struct. All take
-a :class:`State` (``bmcp_state``, one per search state, with its tabu
-expiry, weight, objective and clamped capacity, a scratch ``corr`` the
-scan leaves all zero, and the scan's tie buffer): the one place in Python
-that lays out the core's memory, whose ``arrays`` own what it points at.
+``lib`` is the extension module that ``_core.c`` makes of the C99 kernel in
+``_scan.c``. A tabu move is two of its calls: ``lib.bmcp_pick`` scans the
+flip and swap neighbourhoods and draws the tie-break from the run's bit
+generator, which it takes whole: it holds the generator's ``lock`` and
+draws through numpy's ``bitgen_t`` from the generator's ``capsule``,
+exactly as ``Generator.integers`` would; ``lib.bmcp_move`` checks and
+applies the picked flip or swap. ``lib.bmcp_walk`` flips a state to
+another selection; the three are the module's whole surface, so the scan
+is reached only through the pick. Every flip keeps the state's weight and
+objective in the struct. All take a :class:`State` (``bmcp_state``, one
+per search state, with its tabu expiry, weight, objective and clamped
+capacity, a scratch ``corr`` the scan leaves all zero, and the scan's tie
+buffer): the one place in Python that lays out the core's memory, whose
+``arrays`` own what it points at.
 
-The first read of ``lib`` builds ``_scan.c`` with the interpreter's C
-compiler (``sysconfig``'s ``CC``) into the package's ``__pycache__``, named
-after a hash of the source, the compiler command, the flags and the
-platform, so a later process loads the cached library without compiling.
-No compiler, a failed compile or a library that does not load raise
+The first read of ``lib`` builds ``_core.c`` with the interpreter's C
+compiler (``sysconfig``'s ``CC``) against the interpreter's C headers into
+the package's ``__pycache__``, named after a hash of the sources, the
+compiler command, the flags, the header directory, the platform and the
+extension suffix, so a later process of the same interpreter imports the
+cached module without compiling. No compiler, a failed compile (no
+``Python.h`` among them) or a module that does not import raise
 :class:`bmcp.errors.BuildError`; the next read tries again.
 """
 
@@ -26,6 +30,8 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import hashlib
+import importlib.machinery
+import importlib.util
 import os
 import shlex
 import shutil
@@ -37,11 +43,13 @@ from pathlib import Path
 from .errors import BuildError
 
 SOURCE = Path(__file__).with_name("_scan.c")
+MODULE_SOURCE = SOURCE.with_name("_core.c")
+# Every file the build reads: the module's source and the kernel it includes.
+SOURCES = (MODULE_SOURCE, SOURCE)
+MODULE_NAME = "bmcp._core"
 CACHE_DIR = SOURCE.parent / "__pycache__"
 FLAGS = ("-O2", "-shared", "-fPIC", "-std=c99")
 COMPILE_TIMEOUT_S = 120
-# The type of a numpy bit generator's ``ctypes.next_uint32``.
-NEXT_UINT32 = ctypes.CFUNCTYPE(ctypes.c_uint32, ctypes.c_void_p)
 
 
 class State(ctypes.Structure):
@@ -67,20 +75,27 @@ def _compiler() -> list[str]:
     return shlex.split(sysconfig.get_config_var("CC") or "cc")
 
 
-def _library_name(cc: list[str]) -> str:
-    digest = hashlib.sha256(SOURCE.read_bytes())
-    for part in (*cc, "\0", *FLAGS, "\0", sysconfig.get_platform()):
+def _include() -> str:
+    """The directory of the interpreter's ``Python.h``."""
+    return sysconfig.get_path("include")
+
+
+def _library_name(cc: list[str], include: str) -> str:
+    suffix = sysconfig.get_config_var("EXT_SUFFIX")
+    digest = hashlib.sha256()
+    for part in (*(hashlib.sha256(p.read_bytes()).hexdigest() for p in SOURCES), "\0",
+                 *cc, "\0", *FLAGS, "\0", include, sysconfig.get_platform(), suffix):
         digest.update(part.encode() + b"\0")
-    return f"_scan.{digest.hexdigest()[:16]}.so"
+    return f"_scan.{digest.hexdigest()[:16]}{suffix}"
 
 
-def _compile(cc: list[str], target: Path) -> None:
+def _compile(cc: list[str], include: str, target: Path) -> None:
     """Build into a private file beside ``target``, then rename it into place."""
     fd, tmp = tempfile.mkstemp(prefix="_scan.", suffix=".tmp", dir=target.parent)
     os.close(fd)
     try:
         subprocess.run(
-            [*cc, *FLAGS, "-o", tmp, str(SOURCE)],
+            [*cc, *FLAGS, "-isystem", include, "-o", tmp, str(MODULE_SOURCE)],
             check=True, capture_output=True, timeout=COMPILE_TIMEOUT_S,
         )
         os.replace(tmp, target)
@@ -90,34 +105,30 @@ def _compile(cc: list[str], target: Path) -> None:
 
 
 def _open(path: Path):
-    lib = ctypes.CDLL(str(path))
-    i64, state = ctypes.c_int64, ctypes.POINTER(State)
-    # Then iteration, best_so_far, swaps_only, and the bit generator's
-    # state address and next_uint32.
-    lib.bmcp_pick.argtypes = [state, i64, i64, i64, ctypes.c_void_p, NEXT_UINT32]
-    lib.bmcp_move.argtypes = [state, i64, i64]
-    lib.bmcp_walk.argtypes = [state, ctypes.c_void_p]
-    lib.bmcp_pick.restype = lib.bmcp_move.restype = i64
-    lib.bmcp_walk.restype = None
-    return lib
+    """The extension module built at ``path``, imported."""
+    loader = importlib.machinery.ExtensionFileLoader(MODULE_NAME, str(path))
+    spec = importlib.util.spec_from_file_location(MODULE_NAME, path, loader=loader)
+    module = importlib.util.module_from_spec(spec)
+    loader.exec_module(module)
+    return module
 
 
 def load():
-    """The compiled library, built if needed; :class:`BuildError` if not."""
+    """The compiled module, built if needed; :class:`BuildError` if not."""
     cc = [sysconfig.get_config_var("CC") or "cc"]
     try:
-        cc = _compiler()
-        name = _library_name(cc)
+        cc, include = _compiler(), _include()
+        name = _library_name(cc, include)
         cached = CACHE_DIR / name
         if not cached.exists():
             with contextlib.suppress(OSError):
                 CACHE_DIR.mkdir(exist_ok=True)
             if not os.access(CACHE_DIR, os.W_OK):
-                return _load_private(cc, name)
-            _compile(cc, cached)
+                return _load_private(cc, include, name)
+            _compile(cc, include, cached)
         return _open(cached)
-    except (OSError, ValueError, subprocess.SubprocessError) as exc:
-        reason = str(exc)  # a library that does not load, or a CC that does not parse
+    except (OSError, ImportError, ValueError, subprocess.SubprocessError) as exc:
+        reason = str(exc)  # a module that does not import, or a CC that does not parse
         if isinstance(exc, FileNotFoundError) and exc.filename == cc[0]:
             reason = "not found"
         elif isinstance(exc, subprocess.CalledProcessError):
@@ -129,12 +140,12 @@ def load():
         raise BuildError(f"cannot build the move scan with '{shown}': {reason}") from exc
 
 
-def _load_private(cc: list[str], name: str):
-    """Build in a fresh private directory, load, and remove the directory."""
+def _load_private(cc: list[str], include: str, name: str):
+    """Build in a fresh private directory, import, and remove the directory."""
     private = Path(tempfile.mkdtemp(prefix="bmcp-scan-"))
     try:
-        _compile(cc, private / name)
-        # A loaded library stays mapped after its file is gone.
+        _compile(cc, include, private / name)
+        # An imported module stays mapped after its file is gone.
         return _open(private / name)
     finally:
         shutil.rmtree(private, ignore_errors=True)

@@ -8,6 +8,8 @@
  * applies a checked flip or swap and `bmcp_walk` walks to another
  * selection, both by flips. `bmcp_pick` scans them with the internal
  * `bmcp_scan` and draws the tie-break from the run's own bit generator.
+ * `_core.c` includes this file and exports the three as a CPython extension
+ * module; this one stays plain C99 and knows nothing of Python.
  *
  * It reads one struct per search state, `bmcp_state`, over arrays its Python
  * mirror owns: the instance's, the state's own, its tabu expiry, scratch, ties.
@@ -77,8 +79,7 @@ static void bmcp_flip(bmcp_state *s, int64_t item)
 }
 
 /* Walk to `target`, a feasible selection of m bytes, each 0 or 1: flip out
- * the selected items not in it, then flip in the rest of it. Leaving first,
- * the weight stays within the larger of the two. */
+ * the selected items not in it, then flip in the rest of it. */
 void bmcp_walk(bmcp_state *s, const uint8_t *target)
 {
     for (int64_t i = 0; i < s->m; i++)
@@ -242,7 +243,8 @@ static uint32_t draw(void *rng, uint32_t (*next_uint32)(void *), uint64_t bound)
  * `swaps_only` is the descent's pick: swaps only, and none unless the best
  * one improves, checked before any draw.
  *
- * |best_so_far| must stay within 2^62, so the threshold cannot wrap. */
+ * |best_so_far| must stay within 2^62, so the threshold cannot wrap; the
+ * module in `_core.c` saturates it there. */
 int64_t bmcp_pick(bmcp_state *s, int64_t iteration, int64_t best_so_far,
                   int64_t swaps_only, void *rng, uint32_t (*next_uint32)(void *))
 {

@@ -72,8 +72,8 @@ class SearchState:
             value=inst.row_profits.copy(), corr=np.zeros(inst.m, dtype=np.int64),
             expiry=np.zeros(inst.m, dtype=np.int64),
             ties=np.empty(inst.m, dtype=np.int64), capacity=inst.m,
-            # ctypes wraps ints to int64 silently. No feasible weight
-            # reaches MAX_TOTAL, so clamping there changes no check.
+            # The budget is an int64 field. No feasible weight reaches
+            # MAX_TOTAL, so clamping there changes no check.
             budget=min(inst.capacity, MAX_TOTAL),
         )
 
@@ -136,8 +136,7 @@ class SearchState:
     def _walk_to(self, selection: np.ndarray) -> None:
         """Flip out the selected items not in the feasible bool ``selection``,
         then flip in the rest of it."""
-        target = np.ascontiguousarray(selection)
-        _native.lib.bmcp_walk(self.core, target.ctypes.data)
+        _native.lib.bmcp_walk(self.core, np.ascontiguousarray(selection))
 
     def copy(self) -> "SearchState":
         """A new state of this one's selection, with nothing tabu."""
@@ -147,19 +146,13 @@ class SearchState:
         """Apply in place; raises :class:`InfeasibleError` on a misfit, and
         :class:`ValueError` on an item out of range or a swap of an
         unselected item or for a selected one, changing nothing."""
-        core = self.core
-        m = core.m
+        core, lib = self.core, _native.lib
         if isinstance(move, Flip):
             a, b = move.item, -1
-            bad = not 0 <= a < m
+            status = lib.bmcp_move(core, a)
         else:
             a, b = move.out_item, move.in_item
-            bad = not (0 <= a < m and 0 <= b < m)
-        # ctypes wraps ints to int64 silently, so the range is checked here.
-        if bad:
-            item = a if not 0 <= a < m else b
-            raise ValueError(f"item {item} out of range 0..{m - 1}")
-        status = _native.lib.bmcp_move(core, a, b)
+            status = lib.bmcp_move(core, a, b)
         if status == 1:
             raise ValueError(f"out_item {a} is not selected")
         if status == 2:
@@ -167,3 +160,6 @@ class SearchState:
         if status == 3:
             what = f"flip of item {a}" if b < 0 else f"swap {a}->{b}"
             raise InfeasibleError(f"{what} exceeds capacity")
+        if status == 4:
+            m = core.m
+            raise ValueError(f"item {a if not 0 <= a < m else b} out of range 0..{m - 1}")

@@ -66,24 +66,15 @@ def _pick(
 
     One pass of the compiled scan, then the tie-break drawn from ``rng``'s
     bit generator under its lock; ``_scan.c`` documents the scan order and
-    the item codes, which :func:`_move` decodes. When the ties overflow
-    the state's buffer, it grows and the pick runs again. A tie set above
-    2^32 moves, which numpy would draw from with its 64-bit draw, raises
-    :class:`ValueError`.
+    the item codes, which :func:`_move` decodes. An iteration past int64 is
+    past every mark, and a best past ``MAX_TOTAL`` beyond every objective:
+    the call saturates both. When the ties overflow the state's buffer, it
+    grows and the pick runs again. A tie set above 2^32 moves, which numpy
+    would draw from with its 64-bit draw, raises :class:`ValueError`.
     """
     core, bits = state.core, rng.bit_generator
-    native = bits.ctypes
-    # ctypes wraps ints to int64 silently. No objective or delta reaches
-    # MAX_TOTAL, and no stored expiry reaches 2^63 - 1, so clamping there
-    # changes no comparison.
-    iteration = max(-(2**63), min(iteration, 2**63 - 1))
-    best_so_far = max(-MAX_TOTAL, min(best_so_far, MAX_TOTAL))
     while True:
-        with bits.lock:
-            code = _native.lib.bmcp_pick(
-                core, iteration, best_so_far, swaps_only,
-                native.state_address, native.next_uint32,
-            )
+        code = _native.lib.bmcp_pick(core, iteration, best_so_far, swaps_only, bits)
         if core.count > 2**32:
             raise ValueError(f"{core.count} tied moves exceed the 2^32 the pick draws from")
         if code >= 0 or core.count <= core.capacity:
@@ -191,19 +182,16 @@ def tabu_search(
     best_selection, best_objective = selection.copy(), core.objective
     # The pick of _pick with its arguments read once per phase and the two
     # kinds of move written out: each took ~4% off the time per move in an
-    # interleaved A/B. best_objective is an objective, so it needs no
-    # clamp. A pick that finds ties but makes no move found too many for
-    # the buffer or the draw; _pick then grows the buffer or refuses.
+    # interleaved A/B. A pick that finds ties but makes no move found too
+    # many for the buffer or the draw; _pick then grows the buffer or
+    # refuses.
     pick, bits = _native.lib.bmcp_pick, rng.bit_generator
-    lock, native = bits.lock, bits.ctypes
-    rng_state, next_uint32 = native.state_address, native.next_uint32
     non_improving = 0
     iteration = 1
     while non_improving < depth:
         if deadline is not None and time.perf_counter() >= deadline:
             break
-        with lock:
-            code = pick(core, iteration, best_objective, False, rng_state, next_uint32)
+        code = pick(core, iteration, best_objective, False, bits)
         if code < 0 and core.count:
             code = _pick(state, iteration, best_objective, False, rng)
         if code < 0:

@@ -325,6 +325,21 @@ def test_solving_without_compiler_is_one_line_build_error(
     )
 
 
+def test_solving_without_headers_is_one_line_build_error(
+    tiny_file, tmp_path, capsys, monkeypatch
+):
+    include = tmp_path / "include"
+    include.mkdir()
+    monkeypatch.delattr(_native, "lib", raising=False)
+    monkeypatch.setattr(_native, "CACHE_DIR", tmp_path / "cache")
+    monkeypatch.setattr(_native, "_include", lambda: str(include))
+    assert main(_cli_argv("solve", tiny_file, tmp_path)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("build error: cannot build the move scan with ")
+    assert "Python.h" in captured.err and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("command", ["generate", "exact", "export-lp"])
 def test_other_commands_need_no_compiler(tiny_file, tmp_path, no_compiler, command):
     assert main(_cli_argv(command, tiny_file, tmp_path)) == 0

@@ -9,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bmcp import BuildError, _native
-from conftest import bit_state
+import bmcp
+from bmcp import BuildError, SearchState, _native
+from conftest import TINY_TEXT, bit_state
 
 
 @pytest.fixture
@@ -59,13 +60,71 @@ def test_unwritable_cache_builds_privately(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == [blocker]
 
 
+def test_library_name_follows_every_source_and_the_suffix(tmp_path, monkeypatch):
+    # Two interpreters sharing a checkout, or an edit to the kernel alone,
+    # must never load each other's module.
+    copies = []
+    for source in _native.SOURCES:
+        copy = tmp_path / source.name
+        copy.write_bytes(source.read_bytes())
+        copies.append(copy)
+    monkeypatch.setattr(_native, "SOURCES", tuple(copies))
+    cc, include = _native._compiler(), _native._include()
+    seen = {_native._library_name(cc, include)}
+    for copy in copies:
+        copy.write_text(copy.read_text() + "\n")
+        seen.add(_native._library_name(cc, include))
+    seen.add(_native._library_name(cc, str(tmp_path)))
+    config = _native.sysconfig.get_config_var
+    monkeypatch.setattr(
+        _native.sysconfig, "get_config_var",
+        lambda name: ".other-abi.so" if name == "EXT_SUFFIX" else config(name),
+    )
+    other = _native._library_name(cc, include)
+    seen.add(other)
+    assert len(seen) == len(copies) + 3
+    assert other.endswith(".other-abi.so")
+
+
+def test_every_compiled_source_ships():
+    # A plain text check: tomllib is not in Python 3.10.
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    shipped = re.search(r"^bmcp = \[(.*?)\]", pyproject, re.M | re.S).group(1)
+    assert set(re.findall(r'"([^"]+)"', shipped)) >= {p.name for p in _native.SOURCES}
+    # The sources include nothing of the package besides each other.
+    for source in _native.SOURCES:
+        for included in re.findall(r'^#include "([^"]+)"', source.read_text(), re.M):
+            assert included in {p.name for p in _native.SOURCES}, (source.name, included)
+
+
+def test_missing_headers_are_a_build_error(cache, monkeypatch, tmp_path):
+    include = tmp_path / "include"
+    include.mkdir()
+    monkeypatch.setattr(_native, "_include", lambda: str(include))
+    with pytest.raises(BuildError, match="Python.h") as info:
+        _native.load()
+    assert "\n" not in str(info.value)
+    assert [p for p in cache.iterdir() if p.is_file()] == []
+
+
+STRICT = (
+    "-std=c99", "-Wall", "-Wextra", "-pedantic", "-Wconversion",
+    "-Wsign-conversion", "-Wshadow", "-Wpadded", "-Werror", "-c",
+)
+
+
 def test_kernel_source_compiles_without_warnings(tmp_path):
-    strict = [
-        "-std=c99", "-Wall", "-Wextra", "-pedantic", "-Wconversion",
-        "-Wsign-conversion", "-Wshadow", "-Wpadded", "-Werror", "-c",
-    ]
     done = subprocess.run(
-        [*_native._compiler(), *strict, "-o", str(tmp_path / "scan.o"), str(_native.SOURCE)],
+        [*_native._compiler(), *STRICT, "-o", str(tmp_path / "scan.o"), str(_native.SOURCE)],
+        capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+
+
+def test_module_source_compiles_without_warnings(tmp_path):
+    done = subprocess.run(
+        [*_native._compiler(), *STRICT, "-isystem", _native._include(),
+         "-o", str(tmp_path / "core.o"), str(_native.MODULE_SOURCE)],
         capture_output=True, text=True,
     )
     assert done.returncode == 0, done.stderr
@@ -93,60 +152,69 @@ def test_structs_match_the_kernel_layout(tmp_path):
     assert got == want
 
 
-def _kernel_functions():
-    """(return type, name, parameter count) of each non-static function
-    defined in ``_scan.c``."""
-    found = []
-    for ret, name, params in re.findall(
-        r"^(?!static\b)(\w+)\s+(\w+)\((.*?)\)\n\{", _native.SOURCE.read_text(), re.M | re.S
-    ):
-        depth, count = 0, 1
-        for char in params:  # commas outside a function pointer's own list
-            depth += (char == "(") - (char == ")")
-            count += char == "," and depth == 0
-        found.append((ret, name, count))
-    return found
-
-
-def test_every_kernel_function_has_its_ctypes_signature():
-    # ctypes' default restype is a 32-bit int, which silently truncates an
-    # int64 result such as a swap code past 2^31 (m >= 46 341).
-    found = _kernel_functions()
-    exported = {name for _, name, _ in found}
+def test_the_module_exports_exactly_the_kernel_functions():
+    exported = {name for name in vars(_native.lib) if not name.startswith("__")}
     assert exported == {"bmcp_pick", "bmcp_move", "bmcp_walk"}
-    # The kernel exports only what the package calls, not what tests alone use.
+    # They are the kernel's non-static functions, of the same names.
+    kernel = set(re.findall(r"^(?!static\b)\w+\s+(\w+)\(", _native.SOURCE.read_text(), re.M))
+    assert kernel == exported
+    # The module exports only what the package calls, not what tests alone use.
     callers = [p.read_text() for p in _native.SOURCE.parent.glob("*.py") if p.name != "_native.py"]
     for name in exported:
         assert any(f"lib.{name}" in text for text in callers), name
-    lib = _native._open(Path(_native.lib._name))  # fresh function objects
-    declared = {k for k, v in vars(lib).items() if isinstance(v, ctypes._CFuncPtr)}
-    assert declared == exported
-    restypes = {"int64_t": ctypes.c_int64, "void": None}
-    for ret, name, count in found:
-        fn = getattr(lib, name)
-        assert fn.restype is restypes[ret], name
-        assert fn.argtypes is not None and len(fn.argtypes) == count, name
 
 
-@pytest.fixture(scope="module")
-def kernel_draw(tmp_path_factory):
-    """The kernel's static tie-break draw, built into a library of its own."""
-    where = tmp_path_factory.mktemp("draw")
-    source = where / "draw.c"
-    source.write_text(
-        f'#include "{_native.SOURCE}"\n'
+def test_a_buffer_of_another_size_is_refused():
+    # A struct laid out unlike bmcp_state fails the call, not the memory.
+    inst = bmcp.parse_instance(TINY_TEXT)
+    state = SearchState(inst)
+    lib = _native.lib
+    rng = np.random.default_rng(0)
+    for wrong in (bytearray(ctypes.sizeof(_native.State) - 8), bytearray(8)):
+        with pytest.raises(TypeError, match="bmcp_state"):
+            lib.bmcp_move(wrong, 0)
+        with pytest.raises(TypeError, match="bmcp_state"):
+            lib.bmcp_pick(wrong, 1, 0, False, rng.bit_generator)
+        with pytest.raises(TypeError, match="bmcp_state"):
+            lib.bmcp_walk(wrong, state.selection)
+    # A read-only buffer of the right size is refused too.
+    with pytest.raises(BufferError):
+        lib.bmcp_move(bytes(ctypes.sizeof(_native.State)), 0)
+    with pytest.raises(ValueError, match="walk target of 2 bytes for 3 items"):
+        lib.bmcp_walk(state.core, np.zeros(2, dtype=bool))
+    with pytest.raises(TypeError, match="takes 2 to 3 arguments"):
+        lib.bmcp_move(state.core)
+    with pytest.raises(TypeError, match="takes 5 arguments"):
+        lib.bmcp_pick(state.core, 1, 0, False)
+    assert not state.selection.any() and state.objective == 0
+
+
+def build_draw(where, source):
+    """The static tie-break draw of the kernel at ``source``, built into a
+    library of its own in ``where``."""
+    harness = where / "draw.c"
+    harness.write_text(
+        f'#include "{source}"\n'
         "uint32_t draw_of(void *rng, uint32_t (*next_uint32)(void *), uint64_t bound)\n"
         "{\n    return draw(rng, next_uint32, bound);\n}\n"
     )
     library = where / "draw.so"
     subprocess.run(
-        [*_native._compiler(), *_native.FLAGS, "-o", str(library), str(source)],
+        [*_native._compiler(), *_native.FLAGS, "-o", str(library), str(harness)],
         check=True, capture_output=True,
     )
     fn = ctypes.CDLL(str(library)).draw_of
-    fn.argtypes = [ctypes.c_void_p, _native.NEXT_UINT32, ctypes.c_uint64]
+    # The type of a numpy bit generator's ``ctypes.next_uint32``.
+    next_uint32 = ctypes.CFUNCTYPE(ctypes.c_uint32, ctypes.c_void_p)
+    fn.argtypes = [ctypes.c_void_p, next_uint32, ctypes.c_uint64]
     fn.restype = ctypes.c_uint32
     return fn
+
+
+@pytest.fixture(scope="module")
+def kernel_draw(tmp_path_factory):
+    """The kernel's static tie-break draw, built into a library of its own."""
+    return build_draw(tmp_path_factory.mktemp("draw"), _native.SOURCE)
 
 
 @pytest.mark.parametrize("name", ["PCG64", "PCG64DXSM", "MT19937", "Philox", "SFC64"])
@@ -164,7 +232,7 @@ def test_kernel_draw_is_generator_integers(name, kernel_draw):
         assert bit_state(rng) == bit_state(ref)
 
 
-# Runs in a fresh interpreter with the sanitized library as the compiled core.
+# Runs in a fresh interpreter with the sanitized module as the compiled core.
 UNDER_SANITIZER = """
     import sys
     from pathlib import Path
@@ -211,11 +279,12 @@ UNDER_SANITIZER = """
 
 
 def _run_sanitized(tmp_path, sanitizer, env=()):
-    """Build ``_scan.c`` with ``-fsanitize=<sanitizer>`` and run the harness."""
+    """Build ``_core.c`` with ``-fsanitize=<sanitizer>`` and run the harness."""
     library = tmp_path / f"scan_{sanitizer}.so"
     flags = ["-O1", "-g", "-shared", "-fPIC", "-std=c99", f"-fsanitize={sanitizer}"]
     build = subprocess.run(
-        [*_native._compiler(), *flags, "-o", str(library), str(_native.SOURCE)],
+        [*_native._compiler(), *flags, "-isystem", _native._include(),
+         "-o", str(library), str(_native.MODULE_SOURCE)],
         capture_output=True, text=True,
     )
     if build.returncode != 0:

@@ -73,6 +73,21 @@ def test_apply_rejects_items_out_of_range(tiny, move):
     assert s.coverage.tolist() == [1, 1, 0] and s.objective == 10
 
 
+@pytest.mark.parametrize(
+    "move,item",
+    [(Flip(2**64 + 1), 2**64 + 1), (Flip(-(2**70)), -(2**70)), (Swap(0, 2**64), 2**64),
+     (Swap(2**63, 1), 2**63), (Swap(0, -1), -1)],
+)
+def test_apply_rejects_items_past_int64(tiny, move, item):
+    # The core takes any int: one past int64 is out of range, not wrapped
+    # onto an item.
+    s = state_of(tiny, [0])
+    before = fields(s)
+    with pytest.raises(ValueError, match=f"^item {item} out of range 0..2$"):
+        s.apply(move)
+    assert fields(s) == before
+
+
 def test_state_arrays_cannot_be_rebound(tiny):
     # The compiled core holds their addresses for the state's life.
     s = state_of(tiny, [0])

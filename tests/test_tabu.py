@@ -562,12 +562,28 @@ def test_an_iteration_past_int64_is_past_every_mark():
     assert seen == {Flip(1), Flip(2)}
 
 
+def test_a_best_past_max_total_picks_as_max_total():
+    # The call saturates a best so far at +-MAX_TOTAL, beyond every
+    # objective and delta, so a best past int64 picks as the bound does.
+    inst = make_instance(30, 40, 0.12, 0.45, seed=3)
+    for seed in range(6):
+        state = SearchState.from_selection(
+            inst, bmcp.random_fill(inst, np.random.default_rng(seed))
+        )
+        state.expiry[:] = np.random.default_rng(seed).integers(0, 4, inst.m)
+        for sign in (1, -1):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            far = bmcp.select_move(state, 2, sign * 2**70, rng)
+            assert far == bmcp.select_move(state, 2, sign * MAX_TOTAL, ref)
+            assert bit_state(rng) == bit_state(ref)
+
+
 def test_a_tie_set_past_2_32_is_refused(monkeypatch):
     # numpy draws from such a set with its 64-bit draw, which the core does
     # not make. The set needs m >= 65 536 and a 32 GiB tie buffer, so the
     # core's count is set by a stand-in.
     class VastTies:
-        def bmcp_pick(self, core, *args):
+        def bmcp_pick(self, core, iteration, best_so_far, swaps_only, bit_generator):
             core.count = 2**32 + 1
             return -1
 
